@@ -17,16 +17,17 @@ from .elimtree import format_tree, parse_tree, project
 from .errors import InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import (
     DEFAULT_NODE_BUDGET,
+    adjacency_diameter,
     distance,
-    diameter,
     enumerate_all,
+    explicit_flip_graph,
     flip_graph_dot,
+    moves_weight,
     shortest_path,
     weighted_distance,
-    weighted_length,
     weighted_shortest_path,
 )
-from .graph import parse_graph
+from .graph import parse_graph, parse_weights
 from .polymatroid import GraphAssocRank
 from .reductions import (
     build_unweighted_instance,
@@ -48,25 +49,6 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _read_weights(path: str, g) -> dict[str, int]:
-    weights = {}
-    for line in _read(path).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad weight line {line!r}")
-        try:
-            weights[parts[0]] = int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad weight value {parts[1]!r}") from None
-    for lab in g.labels:
-        if lab not in weights:
-            raise ParseError(f"missing weight for {lab!r}")
-    return weights
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
@@ -78,19 +60,20 @@ def cmd_dist(args) -> int:
     g = parse_graph(_read(args.graph))
     t1 = parse_tree(g, _read(args.tree1))
     t2 = parse_tree(g, _read(args.tree2))
-    payload: dict = {}
-    if args.weights:
-        w = _read_weights(args.weights, g)
-        d = weighted_distance(g, w, t1, t2, node_budget=args.node_budget)
-    else:
+    w = parse_weights(g, _read(args.weights)) if args.weights else None
+    if args.path and w is None:
+        seq = shortest_path(g, t1, t2, node_budget=args.node_budget)
+        d = len(seq)
+    elif args.path:
+        seq = weighted_shortest_path(g, w, t1, t2, node_budget=args.node_budget)
+        d = moves_weight(seq.moves, w)
+    elif w is None:
         d = distance(g, t1, t2, node_budget=args.node_budget)
-    payload["distance"] = str(d)
+    else:
+        d = weighted_distance(g, w, t1, t2, node_budget=args.node_budget)
+    payload: dict = {"distance": str(d)}
     lines = [f"distance {d}"]
     if args.path:
-        if args.weights:
-            seq = weighted_shortest_path(g, w, t1, t2, node_budget=args.node_budget)
-        else:
-            seq = shortest_path(g, t1, t2, node_budget=args.node_budget)
         payload["path"] = [[m.u, m.v] for m in seq.moves]
         lines.extend(f"swap {m.u} {m.v}" for m in seq.moves)
     _emit(args, payload, "\n".join(lines))
@@ -100,11 +83,11 @@ def cmd_dist(args) -> int:
 def cmd_diameter(args) -> int:
     g = parse_graph(_read(args.graph))
     start = time.monotonic()
-    trees = enumerate_all(g, cap=args.node_budget)
-    d = diameter(g, exact_allpairs=args.exact_allpairs, cap=args.node_budget)
+    _, adj = explicit_flip_graph(g, cap=args.node_budget)
+    d = adjacency_diameter(adj, exact_allpairs=args.exact_allpairs)
     elapsed = time.monotonic() - start
-    payload = {"diameter": d, "vertices": len(trees), "seconds": round(elapsed, 3)}
-    _emit(args, payload, f"diameter {d}\nvertices {len(trees)}\nseconds {elapsed:.3f}")
+    payload = {"diameter": d, "vertices": len(adj), "seconds": round(elapsed, 3)}
+    _emit(args, payload, f"diameter {d}\nvertices {len(adj)}\nseconds {elapsed:.3f}")
     return 0
 
 
@@ -142,7 +125,9 @@ def cmd_reduce_cut(args) -> int:
     if args.sufficiency:
         x = args.sufficiency.split(",")
         seq = sufficiency_sequence(inst, x)
-        weight = weighted_length(seq, inst.weights)
+        # Built move by move through apply_swap, which rejects an illegal
+        # move, so the sequence needs no second replay.
+        weight = moves_weight(seq.moves, inst.weights)
         out = Path(args.outdir) / "sufficiency.moves"
         out.write_text("".join(f"{m.u} {m.v}\n" for m in seq.moves))
         lines.append(f"sequence_weight {weight}")
@@ -155,7 +140,7 @@ def cmd_reduce_cut(args) -> int:
 
 def cmd_reduce_blowup(args) -> int:
     g = parse_graph(_read(args.graph))
-    w = _read_weights(args.weights_file, g)
+    w = parse_weights(g, _read(args.weights_file))
     t1 = parse_tree(g, _read(args.tree1))
     t2 = parse_tree(g, _read(args.tree2))
     inst = build_unweighted_instance(g, w, t1, t2)
@@ -167,12 +152,8 @@ def cmd_reduce_blowup(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "axioms":
-        kwargs["seed"] = args.seed
-    elif args.suite == "blowup-equiv":
-        kwargs["seed"] = args.seed
-    report = suite(**kwargs)
+    seeded = args.suite in ("axioms", "blowup-equiv")
+    report = suite(seed=args.seed) if seeded else suite()
     payload = {
         "suite": report.suite,
         "checked": report.checked,

@@ -1,8 +1,8 @@
 """The 1-skeleton of the G-associahedron as an implicit search graph.
 
 Vertices are elimination trees, edges are swaps. Searches deduplicate
-by canonical key and expand frontiers in sorted key order, so witnesses
-and counts are reproducible. All weighted totals are Python integers
+by canonical key and break ties by key, so witnesses and counts are
+reproducible. All weighted totals are Python integers
 (the reduction weights exceed 64 bits by design).
 """
 
@@ -11,11 +11,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, SwapMove
 from .errors import InvalidArgument, ResourceLimit
-from .graph import Graph
+from .graph import Graph, check_weights
 
 __all__ = [
     "ReconfigSequence",
@@ -59,38 +60,22 @@ def validate_sequence(g: Graph, seq: ReconfigSequence) -> tuple[bool, ElimTree]:
     return True, tree
 
 
+def moves_weight(moves: Iterable[SwapMove], w: Mapping[str, int]) -> int:
+    """Sum of w(u) * w(v) over the moves, without replaying them."""
+    return sum(w[m.u] * w[m.v] for m in moves)
+
+
 def weighted_length(seq: ReconfigSequence, w: Mapping[str, int]) -> int:
     """Total weight sum of w(u) * w(v) over the moves of a valid sequence."""
     ok, _ = validate_sequence(seq.start.graph, seq)
     if not ok:
         raise InvalidArgument("sequence does not replay to a valid tree")
-    return sum(w[m.u] * w[m.v] for m in seq.moves)
-
-
-def _neighbors(tree: ElimTree) -> list[tuple[SwapMove, ElimTree]]:
-    return [(m, tree.apply_swap(m)) for m in tree.enumerate_swaps()]
+    return moves_weight(seq.moves, w)
 
 
 def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
-    """All elimination trees of ``g`` by BFS over swaps, sorted by key.
-
-    The flip graph is connected, so any start tree reaches everything.
-    """
-    start = ElimTree.from_ordering(g, g.labels)
-    seen: dict[bytes, ElimTree] = {start.canonical_key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for tree in frontier:
-            for _, nb in _neighbors(tree):
-                key = nb.canonical_key()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimit(f"enumeration cap {cap} exceeded")
-                    seen[key] = nb
-                    nxt.append(nb)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    """All elimination trees of ``g`` by BFS over swaps, sorted by key."""
+    return explicit_flip_graph(g, cap)[0]
 
 
 def _check_pair(g: Graph, t1: ElimTree, t2: ElimTree) -> None:
@@ -98,92 +83,100 @@ def _check_pair(g: Graph, t1: ElimTree, t2: ElimTree) -> None:
         raise InvalidArgument("trees do not belong to the given graph")
 
 
+def _budgeted_neighbors(node_budget: int):
+    """A function listing a tree's (move, neighbour) pairs that counts the
+    trees it expands against the node budget."""
+    expanded = count(1)
+
+    def expand(tree: ElimTree) -> list[tuple[SwapMove, ElimTree]]:
+        if next(expanded) > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        return [(m, tree.apply_swap(m)) for m in tree.enumerate_swaps()]
+
+    return expand
+
+
+def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
+    """Bidirectional BFS between two trees of ``g``, expanding the smaller
+    frontier one whole level at a time. Returns the distance d, the maps
+    from key to distance of the searches from t1 and from t2, and the
+    trees where the two met."""
+    _check_pair(g, t1, t2)
+    k1, k2 = t1.canonical_key(), t2.canonical_key()
+    dist = ({k1: 0}, {k2: 0})
+    if k1 == k2:
+        return 0, dist, {k2: t2}
+    frontier = [[t1], [t2]]
+    depth = [0, 0]
+    while True:
+        if not frontier[0] or not frontier[1]:
+            raise AssertionError("flip graph is connected; search must meet")
+        side = 1 if len(frontier[0]) > len(frontier[1]) else 0
+        mine, other = dist[side], dist[1 - side]
+        level = depth[side] + 1
+        nxt = []
+        meets: dict[bytes, ElimTree] = {}
+        for tree in frontier[side]:
+            for _, nb in expand(tree):
+                key = nb.canonical_key()
+                if key in other:
+                    meets[key] = nb
+                if key not in mine:
+                    mine[key] = level
+                    nxt.append(nb)
+        depth[side] = level
+        if meets:
+            # Each map held a whole ball and the balls were disjoint, so the
+            # distance exceeds the sum of the old depths; every meeting tree
+            # lies on the other side's last level and on a geodesic.
+            return level + depth[1 - side], dist, meets
+        frontier[side] = nxt
+
+
 def distance(
     g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Flip distance by bidirectional BFS over the implicit graph."""
-    _check_pair(g, t1, t2)
-    k1, k2 = t1.canonical_key(), t2.canonical_key()
-    if k1 == k2:
-        return 0
-    dist_a: dict[bytes, int] = {k1: 0}
-    dist_b: dict[bytes, int] = {k2: 0}
-    frontier_a: list[ElimTree] = [t1]
-    frontier_b: list[ElimTree] = [t2]
-    depth_a = depth_b = 0
-    expanded = 0
-    while True:
-        if not frontier_a or not frontier_b:
-            raise AssertionError("flip graph is connected; search must meet")
-        swap_sides = len(frontier_a) > len(frontier_b)
-        if swap_sides:
-            dist_a, dist_b = dist_b, dist_a
-            frontier_a, frontier_b = frontier_b, frontier_a
-            depth_a, depth_b = depth_b, depth_a
-        nxt = []
-        best = None
-        for tree in frontier_a:
-            expanded += 1
-            if expanded > node_budget:
-                raise ResourceLimit(f"node budget {node_budget} exceeded")
-            for _, nb in _neighbors(tree):
-                key = nb.canonical_key()
-                if key in dist_b:
-                    cand = depth_a + 1 + dist_b[key]
-                    if best is None or cand < best:
-                        best = cand
-                if key not in dist_a:
-                    dist_a[key] = depth_a + 1
-                    nxt.append(nb)
-        depth_a += 1
-        if best is not None:
-            # Any remaining meeting point at this depth cannot be shorter.
-            return best
-        frontier_a = nxt
-        if swap_sides:
-            dist_a, dist_b = dist_b, dist_a
-            frontier_a, frontier_b = frontier_b, frontier_a
-            depth_a, depth_b = depth_b, depth_a
+    return _bidirectional_bfs(g, t1, t2, _budgeted_neighbors(node_budget))[0]
 
 
 def shortest_path(
     g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ReconfigSequence:
-    """A shortest reconfiguration sequence; ties broken by canonical key."""
-    _check_pair(g, t1, t2)
-    target = t2.canonical_key()
-    start_key = t1.canonical_key()
-    if start_key == target:
-        return ReconfigSequence(t1, ())
-    pred: dict[bytes, tuple[bytes, SwapMove]] = {}
-    seen = {start_key}
-    frontier: list[tuple[bytes, ElimTree]] = [(start_key, t1)]
-    expanded = 0
-    found = False
-    while frontier and not found:
+    """A shortest reconfiguration sequence; ties broken by canonical key.
+
+    Each tree's predecessor is its smallest-key neighbour one step closer
+    to t1, as in a BFS from t1 that expands each level in key order.
+    """
+    expand = _budgeted_neighbors(node_budget)
+    d, (dist1, dist2), meets = _bidirectional_bfs(g, t1, t2, expand)
+    k1, k2 = t1.canonical_key(), t2.canonical_key()
+    # dist1 is exact up to the radius of the search from t1. The walk from
+    # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
+    # find them by descending from the meeting trees (one level of the search
+    # from t2) through t2's map: a geodesic tree j steps from t2 is d - j from t1.
+    dist1[k2] = d
+    layer = list(meets.values())
+    level = dist2[next(iter(meets))]
+    while level > 1:
+        level -= 1
         nxt = []
-        for key, tree in frontier:
-            expanded += 1
-            if expanded > node_budget:
-                raise ResourceLimit(f"node budget {node_budget} exceeded")
-            for move, nb in _neighbors(tree):
-                nk = nb.canonical_key()
-                if nk not in seen:
-                    seen.add(nk)
-                    pred[nk] = (key, move)
-                    if nk == target:
-                        found = True
-                    nxt.append((nk, nb))
-        # Sorted expansion order makes the predecessor choice canonical.
-        nxt.sort(key=lambda item: item[0])
-        frontier = nxt
-    if not found:
-        raise AssertionError("flip graph is connected; target must be found")
+        for tree in layer:
+            for _, nb in expand(tree):
+                key = nb.canonical_key()
+                if dist2.get(key) == level and key not in dist1:
+                    dist1[key] = d - level
+                    nxt.append(nb)
+        layer = nxt
     moves = []
-    key = target
-    while key != start_key:
-        key, move = pred[key]
-        moves.append(move)
+    key, tree = k2, t2
+    while key != k1:
+        want = dist1[key] - 1
+        steps = [(nb.canonical_key(), m, nb) for m, nb in expand(tree)]
+        key, move, tree = min(
+            (s for s in steps if dist1.get(s[0]) == want), key=lambda s: s[0]
+        )
+        moves.append(move.reversed())
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
@@ -195,35 +188,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    _check_pair(g, t1, t2)
-    for lab in g.labels:
-        if w[lab] <= 0:
-            raise InvalidArgument(f"weights must be positive, w({lab!r}) = {w[lab]}")
-    target = t2.canonical_key()
-    start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes, ElimTree]] = [(0, start_key, t1)]
-    settled: set[bytes] = set()
-    best: dict[bytes, int] = {start_key: 0}
-    expanded = 0
-    while heap:
-        d, key, tree = heapq.heappop(heap)
-        if key in settled:
-            continue
-        if key == target:
-            return d
-        settled.add(key)
-        expanded += 1
-        if expanded > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
-        for move, nb in _neighbors(tree):
-            nk = nb.canonical_key()
-            if nk in settled:
-                continue
-            nd = d + w[move.u] * w[move.v]
-            if nk not in best or nd < best[nk]:
-                best[nk] = nd
-                heapq.heappush(heap, (nd, nk, nb))
-    raise AssertionError("flip graph is connected; target must be reached")
+    return moves_weight(weighted_shortest_path(g, w, t1, t2, node_budget).moves, w)
 
 
 def weighted_shortest_path(
@@ -236,34 +201,25 @@ def weighted_shortest_path(
     """A minimum-weight reconfiguration sequence (uniform-cost search with
     predecessors; ties broken by canonical key through the heap order)."""
     _check_pair(g, t1, t2)
-    for lab in g.labels:
-        if w[lab] <= 0:
-            raise InvalidArgument(f"weights must be positive, w({lab!r}) = {w[lab]}")
+    check_weights(g, w)
+    expand = _budgeted_neighbors(node_budget)
     target = t2.canonical_key()
     start_key = t1.canonical_key()
     heap: list[tuple[int, bytes, ElimTree]] = [(0, start_key, t1)]
-    settled: set[bytes] = set()
     best: dict[bytes, int] = {start_key: 0}
     pred: dict[bytes, tuple[bytes, SwapMove]] = {}
-    expanded = 0
     while heap:
         d, key, tree = heapq.heappop(heap)
-        if key in settled:
-            continue
+        if d > best[key]:
+            continue  # a stale entry of a tree already expanded
         if key == target:
             moves = []
             while key != start_key:
                 key, move = pred[key]
                 moves.append(move)
             return ReconfigSequence(t1, tuple(reversed(moves)))
-        settled.add(key)
-        expanded += 1
-        if expanded > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
-        for move, nb in _neighbors(tree):
+        for move, nb in expand(tree):
             nk = nb.canonical_key()
-            if nk in settled:
-                continue
             nd = d + w[move.u] * w[move.v]
             if nk not in best or nd < best[nk]:
                 best[nk] = nd
@@ -278,31 +234,44 @@ def weighted_shortest_path(
 def explicit_flip_graph(
     g: Graph, cap: int = DEFAULT_NODE_BUDGET
 ) -> tuple[list[ElimTree], list[list[int]]]:
-    """Materialize the flip graph: trees sorted by key plus adjacency lists."""
-    trees = enumerate_all(g, cap)
-    ids = {t.canonical_key(): i for i, t in enumerate(trees)}
-    adj: list[list[int]] = []
-    for tree in trees:
-        adj.append(sorted(ids[nb.canonical_key()] for _, nb in _neighbors(tree)))
-    return trees, adj
+    """Materialize the flip graph: trees sorted by key plus adjacency lists.
+
+    One BFS over swaps records every tree's neighbours as it goes; the
+    flip graph is connected, so any start tree reaches everything.
+    """
+    start = ElimTree.from_ordering(g, g.labels)
+    found = {start.canonical_key(): start}
+    queue = [start]
+    nbr_keys: dict[bytes, list[bytes]] = {}
+    for tree in queue:  # FIFO: the list grows while it is scanned
+        row = nbr_keys[tree.canonical_key()] = []
+        for move in tree.enumerate_swaps():
+            nb = tree.apply_swap(move)
+            key = nb.canonical_key()
+            if key not in found:
+                if len(found) >= cap:
+                    raise ResourceLimit(f"enumeration cap {cap} exceeded")
+                found[key] = nb
+                queue.append(nb)
+            row.append(found[key].canonical_key())  # share the stored key
+    keys = sorted(found)
+    ids = {k: i for i, k in enumerate(keys)}
+    return [found[k] for k in keys], [sorted(ids[j] for j in nbr_keys[k]) for k in keys]
 
 
-def _bfs_ecc(adj: list[list[int]], source: int) -> tuple[list[int], int]:
-    n = len(adj)
-    dist = [-1] * n
+def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` in an explicit graph (-1 if unreached)."""
+    dist = [-1] * len(adj)
     dist[source] = 0
     queue = deque([source])
-    ecc = 0
     while queue:
         v = queue.popleft()
-        dv = dist[v]
+        dv = dist[v] + 1
         for u in adj[v]:
             if dist[u] < 0:
-                dist[u] = dv + 1
-                if dv + 1 > ecc:
-                    ecc = dv + 1
+                dist[u] = dv
                 queue.append(u)
-    return dist, ecc
+    return dist
 
 
 def _chunked_eccentricities(adj: list[list[int]], sources: Sequence[int]) -> list[int]:
@@ -341,7 +310,11 @@ def diameter(
     ``exact_allpairs`` mode computes every eccentricity for verification.
     Both return the same value.
     """
-    trees, adj = explicit_flip_graph(g, cap)
+    return adjacency_diameter(explicit_flip_graph(g, cap)[1], exact_allpairs)
+
+
+def adjacency_diameter(adj: list[list[int]], exact_allpairs: bool = False) -> int:
+    """Diameter of a connected explicit graph, in the two modes of ``diameter``."""
     n = len(adj)
     if n <= 2:
         return n - 1
@@ -349,19 +322,20 @@ def diameter(
     if exact_allpairs:
         return max(_chunked_eccentricities(adj, list(range(n))))
 
-    d0, _ = _bfs_ecc(adj, 0)
+    d0 = bfs_distances(adj, 0)
     a = max(range(n), key=d0.__getitem__)
-    da, ecc_a = _bfs_ecc(adj, a)
+    da = bfs_distances(adj, a)
     b = max(range(n), key=da.__getitem__)
-    db, ecc_b = _bfs_ecc(adj, b)
-    lb = max(ecc_a, ecc_b)
+    db = bfs_distances(adj, b)
+    lb = max(db)  # ecc(b) >= d(a, b) = ecc(a)
     # Midpoint of an a-b geodesic serves as the pruning center.
     half = da[b] // 2
     center = min(
         (v for v in range(n) if da[v] + db[v] == da[b] and da[v] == half),
         default=a,
     )
-    dc, ecc_c = _bfs_ecc(adj, center)
+    dc = bfs_distances(adj, center)
+    ecc_c = max(dc)
     lb = max(lb, ecc_c)
     # Any vertex v has ecc(v) <= dc[v] + ecc_c, and a pair realizing a
     # distance > 2i has an endpoint deeper than level i from the center.
@@ -383,9 +357,7 @@ def diameter(
                 lb = max(lb, max(_chunked_eccentricities(adj, batch)))
             else:
                 for u in batch:
-                    _, e = _bfs_ecc(adj, u)
-                    if e > lb:
-                        lb = e
+                    lb = max(lb, max(bfs_distances(adj, u)))
     return lb
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgument, ParseError
 
@@ -263,6 +263,37 @@ def parse_graph(text: str) -> Graph:
         return Graph(vertices, edges)
     except InvalidArgument as exc:
         raise ParseError(str(exc)) from None
+
+
+def parse_weights(g: Graph, text: str) -> dict[str, int]:
+    """Parse a weights file: one ``label weight`` line for every vertex of
+    ``g`` (labels not in ``g`` are ignored). Anything after a ``#`` is a
+    comment."""
+    weights = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"bad weight line {line!r}")
+        try:
+            weights[parts[0]] = int(parts[1])
+        except ValueError:
+            raise ParseError(f"bad weight value {parts[1]!r}") from None
+    for lab in g.labels:
+        if lab not in weights:
+            raise ParseError(f"missing weight for {lab!r}")
+    return weights
+
+
+def check_weights(g: Graph, w: Mapping[str, int]) -> None:
+    """Require a positive weight for every vertex of ``g``."""
+    for lab in g.labels:
+        if lab not in w:
+            raise InvalidArgument(f"missing weight for {lab!r}")
+        if w[lab] <= 0:
+            raise InvalidArgument(f"weights must be positive, w({lab!r}) = {w[lab]}")
 
 
 def format_graph(g: Graph) -> str:

@@ -17,9 +17,16 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, SwapMove, format_tree, parse_tree, project
-from .errors import IllegalMove, InvalidArgument, ParseError
+from .errors import IllegalMove, InvalidArgument
 from .flipgraph import ReconfigSequence
-from .graph import Graph, cut_edges, format_graph, min_st_cut_value, parse_graph
+from .graph import (
+    Graph,
+    check_weights,
+    format_graph,
+    min_st_cut_value,
+    parse_graph,
+    parse_weights,
+)
 
 __all__ = [
     "WeightedInstance",
@@ -65,6 +72,11 @@ class BlowupInstance:
     source: Graph
     weights: dict[str, int]
     copy_map: dict[str, tuple[str, ...]]
+
+    @staticmethod
+    def source_of(label: str) -> str:
+        """The source vertex of the copy label ``b:<vertex>:<i>``."""
+        return label[2:].rpartition(":")[0]
 
 
 def paper_n(g: Graph) -> int:
@@ -247,9 +259,7 @@ def build_unweighted_instance(
     """Replace every vertex v by a clique of w(v) copies; trees replace v
     by the path v_1 -> ... -> v_{w(v)}, with arcs entering at v_1 and
     leaving from v_{w(v)}."""
-    for lab in g.labels:
-        if w[lab] <= 0:
-            raise InvalidArgument(f"weights must be positive, w({lab!r}) = {w[lab]}")
+    check_weights(g, w)
     copy_map = {
         v: tuple(f"b:{v}:{i}" for i in range(1, w[v] + 1)) for v in g.labels
     }
@@ -264,27 +274,17 @@ def build_unweighted_instance(
         for ca in copy_map[a]:
             for cb in copy_map[b]:
                 edges.append((ca, cb))
-    gp = Graph(vertices, edges)
-
-    def expand_tree(t: ElimTree) -> ElimTree:
-        parent = [-1] * gp.n
-        for v in g.labels:
-            copies = copy_map[v]
-            for i in range(1, len(copies)):
-                parent[gp.index(copies[i])] = gp.index(copies[i - 1])
-            p = t.parent_of(v)
-            if p is not None:
-                parent[gp.index(copies[0])] = gp.index(copy_map[p][-1])
-        return ElimTree(gp, parent)
-
-    return BlowupInstance(
-        graph=gp,
-        t_ini=expand_tree(t_ini),
-        t_tar=expand_tree(t_tar),
+    inst = BlowupInstance(
+        graph=Graph(vertices, edges),
+        t_ini=t_ini,
+        t_tar=t_tar,
         source=g,
         weights=dict(w),
         copy_map=copy_map,
     )
+    # Until here the trees are the source trees; replace them by their images.
+    inst.t_ini, inst.t_tar = blowup_tree(inst, t_ini), blowup_tree(inst, t_tar)
+    return inst
 
 
 def blowup_tree(inst: BlowupInstance, t: ElimTree) -> ElimTree:
@@ -340,16 +340,12 @@ def canonicalize_sequence(
     would reshuffle subtrees between the two copies is not removable and
     raises InvalidArgument.
     """
-
-    def src(label: str) -> str:
-        return label.split(":")[1]
-
     relabel = {lab: lab for lab in inst.graph.labels}
     tree = seq_prime.start
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         a, b = relabel[mv.u], relabel[mv.v]
-        if src(mv.u) == src(mv.v):
+        if inst.source_of(mv.u) == inst.source_of(mv.v):
             if tree.parent_of(b) != a:
                 raise IllegalMove(f"{mv.v!r} is not a child of {mv.u!r}")
             if tree.children_of(a) != (b,):
@@ -372,15 +368,11 @@ def project_sequence(
     copies of the same source vertex (canonicalize first)."""
     g = inst.source
     gp = inst.graph
-
-    def src(label: str) -> str:
-        return label.split(":")[1]
-
     for v in g.labels:
         if not 1 <= phi[v] <= inst.weights[v]:
             raise InvalidArgument(f"phi({v!r}) out of range")
     for mv in seq_prime.moves:
-        if src(mv.u) == src(mv.v):
+        if inst.source_of(mv.u) == inst.source_of(mv.v):
             raise InvalidArgument("intra-clique swap present; canonicalize first")
     u_phi = [inst.copy_map[v][phi[v] - 1] for v in g.labels]
 
@@ -390,7 +382,7 @@ def project_sequence(
         for lab in proj.graph.labels:
             p = proj.parent_of(lab)
             if p is not None:
-                parent[g.index(src(lab))] = g.index(src(p))
+                parent[g.index(inst.source_of(lab))] = g.index(inst.source_of(p))
         return ElimTree(g, parent)
 
     tree_prime = seq_prime.start
@@ -401,7 +393,7 @@ def project_sequence(
         tree_prime = tree_prime.apply_swap(mv)
         nxt = down(tree_prime)
         if nxt.canonical_key() != cur.canonical_key():
-            smv = SwapMove(src(mv.u), src(mv.v))
+            smv = SwapMove(inst.source_of(mv.u), inst.source_of(mv.v))
             if cur.apply_swap(smv).canonical_key() != nxt.canonical_key():
                 raise AssertionError("projection changed by a non-swap step")
             moves.append(smv)
@@ -445,16 +437,7 @@ def read_bundle(path: str | Path) -> dict:
     }
     wfile = d / "weights.txt"
     if wfile.exists():
-        weights = {}
-        for line in wfile.read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"bad weight line {line!r}")
-            weights[parts[0]] = int(parts[1])
-        out["weights"] = weights
+        out["weights"] = parse_weights(graph, wfile.read_text())
     mfile = d / "meta.json"
     if mfile.exists():
         out["meta"] = json.loads(mfile.read_text())

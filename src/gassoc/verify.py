@@ -14,9 +14,9 @@ from itertools import product
 from .elimtree import ElimTree, SwapMove, project
 from .flipgraph import (
     ReconfigSequence,
+    bfs_distances,
     enumerate_all,
     explicit_flip_graph,
-    weighted_length,
 )
 from .graph import Graph, induced_subgraph, iter_bits
 from .polymatroid import GraphAssocRank, check_axioms, verify_realization
@@ -181,7 +181,7 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 ids_p = {t.canonical_key(): i for i, t in enumerate(trees_p)}
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
                 for i in range(len(trees)):
-                    dist_p = _bfs_dist(adj_p, lifted[i])
+                    dist_p = bfs_distances(adj_p, lifted[i])
                     for j in range(len(trees)):
                         report.checked += 1
                         if dist_w[i][j] != dist_p[lifted[j]]:
@@ -190,21 +190,6 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                                 f"{dist_w[i][j]} != {dist_p[lifted[j]]}"
                             )
     return report
-
-
-def _bfs_dist(adj: list[list[int]], source: int) -> list[int]:
-    from collections import deque
-
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
 
 SUITES = {
@@ -266,10 +251,7 @@ def averaging_inequality_holds(
     trees = [seq_prime.start]
     for mv in seq_prime.moves:
         trees.append(trees[-1].apply_swap(mv))
-
-    def src(label: str) -> str:
-        return label.split(":")[1]
-
+    src = inst.source_of
     best = None
     for combo in product(*(range(1, inst.weights[v] + 1) for v in g.labels)):
         phi = dict(zip(g.labels, combo))

@@ -55,6 +55,15 @@ def test_dist_json_path_replays(files, capsys):
     assert len(payload["path"]) == 3
 
 
+def test_dist_path_readme_example(files, capsys):
+    g = files("g.txt", P3)
+    t1 = files("t1.tree", CHAIN_123)
+    t2 = files("t2.tree", CHAIN_321)
+    code, out = run(capsys, "dist", g, t1, t2, "--path")
+    assert code == 0
+    assert out.splitlines() == ["distance 2", "swap 1 2", "swap 2 3"]
+
+
 def test_dist_weighted_unit_equals_unweighted(files, capsys):
     g = files("g.txt", P3)
     t1 = files("t1.tree", CHAIN_123)

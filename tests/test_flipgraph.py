@@ -6,6 +6,7 @@ Counting oracles used here:
 - complete graph: n! chains, distance = inversion count
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from gassoc.flipgraph import (
 )
 from gassoc.smallgraphs import (
     complete_graph,
+    connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -124,6 +126,63 @@ def test_shortest_path_witness_replays():
     assert len(seq.moves) == distance(g, t1, t2)
 
 
+def reference_shortest_path(t1, t2):
+    """Unidirectional BFS from t1 expanding each level in key order; every
+    tree's predecessor is the first tree that reaches it."""
+    target = t2.canonical_key()
+    start_key = t1.canonical_key()
+    pred = {}
+    seen = {start_key}
+    frontier = [(start_key, t1)]
+    while target not in seen:
+        nxt = []
+        for key, tree in frontier:
+            for move in tree.enumerate_swaps():
+                nb = tree.apply_swap(move)
+                nk = nb.canonical_key()
+                if nk not in seen:
+                    seen.add(nk)
+                    pred[nk] = (key, move)
+                    nxt.append((nk, nb))
+        nxt.sort(key=lambda item: item[0])
+        frontier = nxt
+    moves = []
+    key = target
+    while key != start_key:
+        key, move = pred[key]
+        moves.append(move)
+    return tuple(reversed(moves))
+
+
+def assert_matches_reference(g, t1, t2):
+    seq = shortest_path(g, t1, t2)
+    assert seq.moves == reference_shortest_path(t1, t2)
+    assert len(seq) == distance(g, t1, t2)
+
+
+def test_shortest_path_matches_reference_exhaustive():
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            trees = enumerate_all(g)
+            for a in trees:
+                for b in trees:
+                    assert_matches_reference(g, a, b)
+
+
+def test_shortest_path_matches_reference_sampled():
+    for g in connected_graphs_up_to_iso(5):
+        trees = enumerate_all(g)
+        pairs = [(a, b) for a in trees for b in trees]
+        for a, b in pairs[::211]:
+            assert_matches_reference(g, a, b)
+    for seed in range(4):
+        g = random_connected_graph(7, 0.35, seed)
+        trees = enumerate_all(g)
+        rng = random.Random(seed)
+        for _ in range(6):
+            assert_matches_reference(g, rng.choice(trees), rng.choice(trees))
+
+
 def test_shortest_path_deterministic():
     g = cycle_graph(5)
     t1 = ElimTree.from_ordering(g, ["1", "2", "3", "4", "5"])
@@ -172,6 +231,13 @@ def test_weighted_rejects_nonpositive():
     t = ElimTree.from_ordering(g, g.labels)
     with pytest.raises(InvalidArgument):
         weighted_distance(g, {"1": 0, "2": 1, "3": 1}, t, t)
+
+
+def test_weighted_rejects_missing_weight():
+    g = path_graph(3)
+    t = ElimTree.from_ordering(g, g.labels)
+    with pytest.raises(InvalidArgument):
+        weighted_distance(g, {"1": 1, "2": 1}, t, t)
 
 
 def test_validate_sequence_flags_illegal():

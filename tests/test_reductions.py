@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from gassoc.elimtree import ElimTree, SwapMove, project
-from gassoc.errors import InvalidArgument
+from gassoc.errors import InvalidArgument, ParseError
 from gassoc.flipgraph import (
     ReconfigSequence,
     distance,
@@ -255,6 +255,16 @@ def test_bundle_round_trip(tmp_path):
     assert back["weights"] == inst.weights
     assert back["meta"]["threshold"] == str(threshold(inst))
     assert back["meta"]["N"] == "2"
+
+
+def test_read_bundle_rejects_bad_weight_value(tmp_path):
+    inst = build_weighted_instance(path_source(), "s", "t", N=2)
+    write_bundle(tmp_path / "b", inst.graph, inst.t_ini, inst.t_tar,
+                 weights=inst.weights)
+    wfile = tmp_path / "b" / "weights.txt"
+    wfile.write_text(wfile.read_text().replace(" 2\n", " two\n", 1))
+    with pytest.raises(ParseError):
+        read_bundle(tmp_path / "b")
 
 
 def test_blowup_distance_equivalence_spot():
