@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IllegalMove, InvalidArgument, ParseError
 from .graph import Graph, induced_subgraph, iter_bits
@@ -19,6 +19,7 @@ __all__ = [
     "SwapMove",
     "ElimTree",
     "is_valid",
+    "swap_neighbors",
     "project",
     "parse_tree",
     "format_tree",
@@ -49,60 +50,54 @@ class ElimTree:
     __slots__ = ("graph", "parent", "root", "children", "_key")
 
     def __init__(self, graph: Graph, parent: Sequence[int]):
+        parent = tuple(parent)
         n = graph.n
         if len(parent) != n:
             raise InvalidArgument("parent array does not span the vertex set")
-        self.graph = graph
-        self.parent: tuple[int, ...] = tuple(parent)
-        roots = [i for i, p in enumerate(self.parent) if p < 0]
+        if not all(-1 <= p < n for p in parent):
+            raise InvalidArgument("parent index out of range")
+        roots = [i for i, p in enumerate(parent) if p < 0]
         if len(roots) != 1:
             raise InvalidArgument(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(self.parent):
-            if p >= 0:
-                kids[p].append(i)
-        self.children: tuple[tuple[int, ...], ...] = tuple(tuple(k) for k in kids)
-        # Reject parent maps with cycles (they never reach the root).
-        seen = 1 << self.root
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                seen |= 1 << c
-                stack.append(c)
-        if seen != graph.full_mask:
-            raise InvalidArgument("parent pointers do not form a spanning tree")
+        self.graph, self.parent, self.root = graph, parent, roots[0]
+        self.children: tuple[tuple[int, ...], ...] = _children(parent)
         self._key: bytes | None = None
+        # Reject parent maps with cycles (they never reach the root).
+        if len(_root_first(parent, self.children)) != n:
+            raise InvalidArgument("parent pointers do not form a spanning tree")
+
+    @classmethod
+    def _trusted(
+        cls, graph: Graph, parent: tuple[int, ...], children=None, key: bytes | None = None
+    ) -> "ElimTree":
+        """A tree from the swap kernel, valid by construction: no checks."""
+        tree = object.__new__(cls)
+        tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
+        tree.children = _children(parent) if children is None else children
+        tree._key = key
+        return tree
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_ordering(cls, g: Graph, sigma: Sequence[str]) -> "ElimTree":
         """The unique elimination tree in which every ancestor precedes its
-        descendants in ``sigma`` (the vertex-removal construction)."""
+        descendants in ``sigma``."""
         if len(sigma) != g.n:
             raise InvalidArgument("ordering must be a permutation of V")
-        rank = [0] * g.n
+        order = []
         seen = 0
-        for pos, lab in enumerate(sigma):
+        for lab in sigma:
             i = g.index(lab)
             if seen >> i & 1:
                 raise InvalidArgument(f"duplicate label in ordering: {lab!r}")
             seen |= 1 << i
-            rank[i] = pos
-        parent = [-1] * g.n
+            order.append(i)
         if g.n == 0:
             raise InvalidArgument("empty graph has no elimination tree")
-        stack: list[tuple[int, int]] = [(g.full_mask, -1)]
-        while stack:
-            mask, par = stack.pop()
-            r = min(iter_bits(mask), key=rank.__getitem__)
-            parent[r] = par
-            rest = mask & ~(1 << r)
-            for comp in g.component_masks(rest):
-                stack.append((comp, r))
-        return cls(g, parent)
+        if not g.is_connected():
+            raise InvalidArgument("host graph must be connected")
+        return cls(g, _ordering_parent(g, order))
 
     # -- queries ------------------------------------------------------
 
@@ -127,13 +122,6 @@ class ElimTree:
                 stack.append(c)
         return mask
 
-    def depth(self, i: int) -> int:
-        d = 0
-        while self.parent[i] >= 0:
-            i = self.parent[i]
-            d += 1
-        return d
-
     def ancestors(self, label: str) -> frozenset[str]:
         """Strict ancestors of ``label`` (the vertex itself excluded)."""
         i = self.graph.index(label)
@@ -156,13 +144,6 @@ class ElimTree:
             self.subtree_mask(ia) >> ib & 1 or self.subtree_mask(ib) >> ia & 1
         )
 
-    def anc_mask(self, i: int) -> int:
-        mask = 0
-        while self.parent[i] >= 0:
-            i = self.parent[i]
-            mask |= 1 << i
-        return mask
-
     # -- moves ----------------------------------------------------------
 
     def enumerate_swaps(self) -> list[SwapMove]:
@@ -175,24 +156,20 @@ class ElimTree:
         ]
 
     def apply_swap(self, move: SwapMove) -> "ElimTree":
-        """Apply swap(u, v), exchanging child v with its parent u.
-
-        Child subtrees of v stay below v unless they are connected to u
-        inside the subtree of u minus v, in which case they move below u.
-        """
+        """Apply swap(u, v), exchanging child v with its parent u."""
         g = self.graph
         iu, iv = g.index(move.u), g.index(move.v)
         if self.parent[iv] != iu:
             raise IllegalMove(f"{move.v!r} is not a child of {move.u!r}")
-        w_mask = self.subtree_mask(iu)
-        comp_u = g.component_of(iu, w_mask & ~(1 << iv))
-        parent = list(self.parent)
-        parent[iv] = self.parent[iu]
-        parent[iu] = iv
-        for c in self.children[iv]:
-            if comp_u >> c & 1:
-                parent[c] = iu
-        return ElimTree(g, parent)
+        kids = self.children
+        sub = {c: self.subtree_mask(c) for c in kids[iv]}
+        parent = _swapped(g.adj, self.parent, kids, sub, iu, iv)
+        # Only u, v and the old parent of u get new children.
+        near = kids[iu] + kids[iv] + (iu, iv)
+        new = list(kids)
+        for x in {iu, iv, self.parent[iu]} - {-1}:
+            new[x] = tuple(sorted({c for c in near + kids[x] if parent[c] == x}))
+        return ElimTree._trusted(g, parent, tuple(new))
 
     # -- encodings ------------------------------------------------------
 
@@ -231,17 +208,86 @@ class ElimTree:
         return f"ElimTree(root={self.root_label()!r}, n={self.graph.n})"
 
 
+# -- the swap kernel ----------------------------------------------------
+#
+# A state is a parent tuple over the host's dense indices (-1 at the root).
+# In an elimination tree every edge of G joins an ancestor and a descendant,
+# so a child subtree of v can reach the rest of u's subtree minus v only
+# through u: after swap(u, v) it moves below u iff it touches u.
+
+
+def _children(parent: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    kids: list[list[int]] = [[] for _ in parent]
+    for i, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(i)
+    return tuple(map(tuple, kids))
+
+
+def _root_first(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
+    """The vertices reachable from the root, each after its parent."""
+    order = [parent.index(-1)]
+    for v in order:  # the list grows while it is scanned
+        order.extend(children[v])
+    return order
+
+
+def _swapped(adj, parent, children, sub, u: int, v: int) -> tuple[int, ...]:
+    """The parent tuple after swap(u, v); ``sub[c]`` is the subtree mask of
+    each child c of v."""
+    nb = list(parent)
+    nb[v] = parent[u]
+    nb[u] = v
+    adj_u = adj[u]
+    for c in children[v]:
+        if sub[c] & adj_u:
+            nb[c] = u
+    return tuple(nb)
+
+
+def swap_neighbors(
+    adj: Sequence[int], parent: tuple[int, ...]
+) -> Iterator[tuple[int, int, tuple[int, ...], bytes]]:
+    """Each swap(u, v) of the elimination tree with this parent tuple as
+    (u, v, the parent tuple after it, that tuple's canonical key), in
+    ``enumerate_swaps`` order. Per state, one pass lists the children and
+    one bottom-up pass finds every subtree mask; nothing is re-validated,
+    since a swap of an elimination tree is one by construction."""
+    children = _children(parent)
+    sub = [1 << i for i in range(len(parent))]
+    for v in reversed(_root_first(parent, children)):
+        p = parent[v]
+        if p >= 0:
+            sub[p] |= sub[v]
+    for v, u in enumerate(parent):
+        if u >= 0:
+            nb = _swapped(adj, parent, children, sub, u, v)
+            yield u, v, nb, array("l", nb).tobytes()
+
+
+def _ordering_parent(g: Graph, order: Sequence[int]) -> list[int]:
+    """The parent array of the elimination tree of vertex order ``order``:
+    adding the vertices in reverse, each one becomes the parent of the
+    roots of the trees it touches."""
+    parent = [-1] * g.n
+    top = list(range(g.n))  # union-find towards the root of each tree so far
+    done = 0
+    for v in reversed(order):
+        for x in iter_bits(g.adj[v] & done):
+            while top[x] != x:
+                top[x] = x = top[top[x]]
+            if x != v:
+                parent[x] = top[x] = v
+        done |= 1 << v
+    return parent
+
+
 def is_valid(g: Graph, t: ElimTree) -> bool:
-    """Check the recursive component decomposition at every vertex."""
-    if t.graph.labels != g.labels:
+    """Check that ``t`` is an elimination tree of ``g``: the one built from
+    a linear extension of ``t`` (each vertex after its parent)."""
+    if t.graph.labels != g.labels or not g.is_connected():
         return False
-    for v in range(g.n):
-        sub = t.subtree_mask(v)
-        comps = g.component_masks(sub & ~(1 << v))
-        child_masks = sorted(t.subtree_mask(c) for c in t.children[v])
-        if sorted(comps) != child_masks:
-            return False
-    return True
+    return _ordering_parent(g, _root_first(t.parent, t.children)) == list(t.parent)
 
 
 def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
@@ -252,24 +298,11 @@ def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
     subg = induced_subgraph(g, (lab for i, lab in enumerate(g.labels) if u_mask >> i & 1))
     if not subg.is_connected():
         raise InvalidArgument("projection target must induce a connected subgraph")
-    members = [g.index(lab) for lab in subg.labels]
-    anc_pairs: dict[int, list[int]] = {b: [] for b in members}
-    for a in members:
-        allowed = u_mask & ~t.anc_mask(a)
-        comp_a = g.component_of(a, allowed)
-        des_a = t.subtree_mask(a)
-        for b in members:
-            if b != a and des_a >> b & 1 and comp_a >> b & 1:
-                anc_pairs[b].append(a)
-    parent = []
-    for b in members:
-        anc = anc_pairs[b]
-        if not anc:
-            parent.append(-1)
-        else:
-            deepest = max(anc, key=t.depth)
-            parent.append(subg.index(g.labels[deepest]))
-    return ElimTree(subg, parent)
+    # A linear extension of T, restricted to U, gives the same tree: the
+    # subtree of a in either is the component of a in G[U & subtree_T(a)].
+    order = _root_first(t.parent, t.children)
+    order = [subg.index(g.labels[i]) for i in order if u_mask >> i & 1]
+    return ElimTree(subg, _ordering_parent(subg, order))
 
 
 # -- text formats -----------------------------------------------------
@@ -289,6 +322,8 @@ def parse_tree(g: Graph, text: str) -> ElimTree:
         child, par = parts
         try:
             ci = g.index(child)
+            if parent[ci] is not None:
+                raise ParseError(f"duplicate tree line for {child!r}")
             parent[ci] = -1 if par == "-" else g.index(par)
         except InvalidArgument as exc:
             raise ParseError(str(exc)) from None
@@ -296,9 +331,12 @@ def parse_tree(g: Graph, text: str) -> ElimTree:
         missing = [g.labels[i] for i, p in enumerate(parent) if p is None]
         raise ParseError(f"missing tree lines for: {missing}")
     try:
-        return ElimTree(g, parent)  # type: ignore[arg-type]
+        t = ElimTree(g, parent)  # type: ignore[arg-type]
     except InvalidArgument as exc:
         raise ParseError(str(exc)) from None
+    if not is_valid(g, t):
+        raise ParseError("not an elimination tree of the graph")
+    return t
 
 
 def format_tree(t: ElimTree) -> str:

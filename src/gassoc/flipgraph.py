@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove
+from .elimtree import ElimTree, SwapMove, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .graph import Graph, check_weights
 
@@ -83,15 +83,16 @@ def _check_pair(g: Graph, t1: ElimTree, t2: ElimTree) -> None:
         raise InvalidArgument("trees do not belong to the given graph")
 
 
-def _budgeted_neighbors(node_budget: int):
-    """A function listing a tree's (move, neighbour) pairs that counts the
-    trees it expands against the node budget."""
+def _budgeted_expand(g: Graph, node_budget: int):
+    """The swap kernel on ``g``, counting the states it expands against the
+    node budget."""
+    adj = g.adj
     expanded = count(1)
 
-    def expand(tree: ElimTree) -> list[tuple[SwapMove, ElimTree]]:
+    def expand(parent: tuple[int, ...]):
         if next(expanded) > node_budget:
             raise ResourceLimit(f"node budget {node_budget} exceeded")
-        return [(m, tree.apply_swap(m)) for m in tree.enumerate_swaps()]
+        return swap_neighbors(adj, parent)
 
     return expand
 
@@ -100,13 +101,13 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
     """Bidirectional BFS between two trees of ``g``, expanding the smaller
     frontier one whole level at a time. Returns the distance d, the maps
     from key to distance of the searches from t1 and from t2, and the
-    trees where the two met."""
+    parent tuples, by key, of the trees where the two met."""
     _check_pair(g, t1, t2)
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     dist = ({k1: 0}, {k2: 0})
     if k1 == k2:
-        return 0, dist, {k2: t2}
-    frontier = [[t1], [t2]]
+        return 0, dist, {k2: t2.parent}
+    frontier = [[t1.parent], [t2.parent]]
     depth = [0, 0]
     while True:
         if not frontier[0] or not frontier[1]:
@@ -115,10 +116,9 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
         mine, other = dist[side], dist[1 - side]
         level = depth[side] + 1
         nxt = []
-        meets: dict[bytes, ElimTree] = {}
-        for tree in frontier[side]:
-            for _, nb in expand(tree):
-                key = nb.canonical_key()
+        meets: dict[bytes, tuple[int, ...]] = {}
+        for parent in frontier[side]:
+            for _, _, nb, key in expand(parent):
                 if key in other:
                     meets[key] = nb
                 if key not in mine:
@@ -137,7 +137,7 @@ def distance(
     g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Flip distance by bidirectional BFS over the implicit graph."""
-    return _bidirectional_bfs(g, t1, t2, _budgeted_neighbors(node_budget))[0]
+    return _bidirectional_bfs(g, t1, t2, _budgeted_expand(g, node_budget))[0]
 
 
 def shortest_path(
@@ -148,7 +148,7 @@ def shortest_path(
     Each tree's predecessor is its smallest-key neighbour one step closer
     to t1, as in a BFS from t1 that expands each level in key order.
     """
-    expand = _budgeted_neighbors(node_budget)
+    expand = _budgeted_expand(g, node_budget)
     d, (dist1, dist2), meets = _bidirectional_bfs(g, t1, t2, expand)
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     # dist1 is exact up to the radius of the search from t1. The walk from
@@ -161,22 +161,21 @@ def shortest_path(
     while level > 1:
         level -= 1
         nxt = []
-        for tree in layer:
-            for _, nb in expand(tree):
-                key = nb.canonical_key()
+        for parent in layer:
+            for _, _, nb, key in expand(parent):
                 if dist2.get(key) == level and key not in dist1:
                     dist1[key] = d - level
                     nxt.append(nb)
         layer = nxt
+    labs = g.labels
     moves = []
-    key, tree = k2, t2
+    key, parent = k2, t2.parent
     while key != k1:
         want = dist1[key] - 1
-        steps = [(nb.canonical_key(), m, nb) for m, nb in expand(tree)]
-        key, move, tree = min(
-            (s for s in steps if dist1.get(s[0]) == want), key=lambda s: s[0]
+        key, u, v, parent = min(
+            (nk, u, v, nb) for u, v, nb, nk in expand(parent) if dist1.get(nk) == want
         )
-        moves.append(move.reversed())
+        moves.append(SwapMove(labs[v], labs[u]))
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
@@ -202,28 +201,29 @@ def weighted_shortest_path(
     predecessors; ties broken by canonical key through the heap order)."""
     _check_pair(g, t1, t2)
     check_weights(g, w)
-    expand = _budgeted_neighbors(node_budget)
+    expand = _budgeted_expand(g, node_budget)
+    labs = g.labels
+    wi = [w[lab] for lab in labs]
     target = t2.canonical_key()
     start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes, ElimTree]] = [(0, start_key, t1)]
+    heap: list[tuple[int, bytes, tuple[int, ...]]] = [(0, start_key, t1.parent)]
     best: dict[bytes, int] = {start_key: 0}
-    pred: dict[bytes, tuple[bytes, SwapMove]] = {}
+    pred: dict[bytes, tuple[bytes, int, int]] = {}
     while heap:
-        d, key, tree = heapq.heappop(heap)
+        d, key, parent = heapq.heappop(heap)
         if d > best[key]:
             continue  # a stale entry of a tree already expanded
         if key == target:
             moves = []
             while key != start_key:
-                key, move = pred[key]
-                moves.append(move)
+                key, u, v = pred[key]
+                moves.append(SwapMove(labs[u], labs[v]))
             return ReconfigSequence(t1, tuple(reversed(moves)))
-        for move, nb in expand(tree):
-            nk = nb.canonical_key()
-            nd = d + w[move.u] * w[move.v]
+        for u, v, nb, nk in expand(parent):
+            nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
                 best[nk] = nd
-                pred[nk] = (key, move)
+                pred[nk] = (key, u, v)
                 heapq.heappush(heap, (nd, nk, nb))
     raise AssertionError("flip graph is connected; target must be reached")
 
@@ -240,23 +240,25 @@ def explicit_flip_graph(
     flip graph is connected, so any start tree reaches everything.
     """
     start = ElimTree.from_ordering(g, g.labels)
-    found = {start.canonical_key(): start}
-    queue = [start]
-    nbr_keys: dict[bytes, list[bytes]] = {}
-    for tree in queue:  # FIFO: the list grows while it is scanned
-        row = nbr_keys[tree.canonical_key()] = []
-        for move in tree.enumerate_swaps():
-            nb = tree.apply_swap(move)
-            key = nb.canonical_key()
-            if key not in found:
-                if len(found) >= cap:
+    ids = {start.canonical_key(): 0}
+    states = [start.parent]
+    rows = []
+    for parent in states:  # FIFO: the list grows while it is scanned
+        row = []
+        for _, _, nb, key in swap_neighbors(g.adj, parent):
+            j = ids.get(key)
+            if j is None:
+                if len(states) >= cap:
                     raise ResourceLimit(f"enumeration cap {cap} exceeded")
-                found[key] = nb
-                queue.append(nb)
-            row.append(found[key].canonical_key())  # share the stored key
-    keys = sorted(found)
-    ids = {k: i for i, k in enumerate(keys)}
-    return [found[k] for k in keys], [sorted(ids[j] for j in nbr_keys[k]) for k in keys]
+                j = ids[key] = len(states)
+                states.append(nb)
+            row.append(j)
+        rows.append(row)
+    keys = list(ids)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    trees = [ElimTree._trusted(g, states[i], key=keys[i]) for i in order]
+    return trees, [sorted(rank[j] for j in rows[i]) for i in order]
 
 
 def bfs_distances(adj: list[list[int]], source: int) -> list[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree
+from .elimtree import ElimTree, _root_first, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .flipgraph import enumerate_all
 from .graph import Graph, iter_bits
@@ -169,27 +169,14 @@ def devadoss_coordinates(g: Graph, t: ElimTree) -> dict[str, int]:
     if g.n < 2:
         raise InvalidArgument("coordinates require at least two vertices")
     coords = [0] * g.n
+    size = [1] * g.n
     subtree_sum = [0] * g.n
     # Process vertices bottom-up (children before parents).
-    order: list[int] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(t.children[v])
-    for v in reversed(order):
-        size = 1
-        child_total = 0
-        for c in t.children[v]:
-            size += t.subtree_mask(c).bit_count()
-            child_total += subtree_sum[c]
-        if size == 1:
-            coords[v] = 0
-            subtree_sum[v] = 0
-        else:
-            total = 3 ** (size - 2)
-            coords[v] = total - child_total
-            subtree_sum[v] = total
+    for v in reversed(_root_first(t.parent, t.children)):
+        size[v] += sum(size[c] for c in t.children[v])
+        if size[v] > 1:
+            subtree_sum[v] = 3 ** (size[v] - 2)
+            coords[v] = subtree_sum[v] - sum(subtree_sum[c] for c in t.children[v])
     return {g.labels[i]: coords[i] for i in range(g.n)}
 
 
@@ -250,13 +237,13 @@ def verify_realization(g: Graph, ordering_cap: int = 8) -> RealizationReport:
     swap_support = True
     for t in trees:
         pt = tree_points[t.canonical_key()]
-        for move in t.enumerate_swaps():
-            nb = t.apply_swap(move)
-            pn = tree_points[nb.canonical_key()]
+        for u, v, _, key in swap_neighbors(g.adj, t.parent):
+            pn = tree_points[key]
             diff = {lab: pn[lab] - pt[lab] for lab in g.labels}
             if sum(diff.values()) != 0:
                 swap_support = False
-            if any(d != 0 for lab, d in diff.items() if lab not in (move.u, move.v)):
+            swapped = (g.labels[u], g.labels[v])
+            if any(d != 0 for lab, d in diff.items() if lab not in swapped):
                 swap_support = False
 
     checks = {

@@ -8,25 +8,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import product
 
-from .elimtree import ElimTree, SwapMove, project
+from .elimtree import ElimTree, project
 from .flipgraph import (
     ReconfigSequence,
     bfs_distances,
     enumerate_all,
     explicit_flip_graph,
+    weighted_distance,
 )
-from .graph import Graph, induced_subgraph, iter_bits
+from .graph import Graph, iter_bits
 from .polymatroid import GraphAssocRank, check_axioms, verify_realization
-from .reductions import (
-    BlowupInstance,
-    blowup_tree,
-    build_unweighted_instance,
-    canonicalize_sequence,
-    project_sequence,
-)
+from .reductions import BlowupInstance, blowup_tree, build_unweighted_instance
 from .smallgraphs import connected_graphs_up_to_iso, random_connected_graph
 
 __all__ = [
@@ -126,33 +120,6 @@ def verify_projection_suite(max_n: int = 5) -> SuiteReport:
     return report
 
 
-def _weighted_all_pairs(
-    g: Graph, w: dict[str, int], trees: list[ElimTree]
-) -> list[list[int]]:
-    """All-pairs minimum swap weight on the explicit flip graph of g."""
-    ids = {t.canonical_key(): i for i, t in enumerate(trees)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in trees]
-    for i, t in enumerate(trees):
-        for move in t.enumerate_swaps():
-            j = ids[t.apply_swap(move).canonical_key()]
-            adj[i].append((j, w[move.u] * w[move.v]))
-    n = len(trees)
-    out = []
-    for s in range(n):
-        dist = [None] * n
-        heap = [(0, s)]
-        while heap:
-            d, v = heappop(heap)
-            if dist[v] is not None:
-                continue
-            dist[v] = d
-            for u, c in adj[v]:
-                if dist[u] is None:
-                    heappush(heap, (d + c, u))
-        out.append(dist)
-    return out
-
-
 def _blowup_weight_sets(n: int, total: int, count: int, seed: int) -> list[tuple[int, ...]]:
     """Seeded weight vectors (entries >= 1, sum <= total, not all ones)."""
     rng = random.Random(seed)
@@ -176,18 +143,18 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 trees = enumerate_all(g)
                 base = ElimTree.from_ordering(g, g.labels)
                 inst = build_unweighted_instance(g, w, base, base)
-                dist_w = _weighted_all_pairs(g, w, trees)
                 trees_p, adj_p = explicit_flip_graph(inst.graph)
                 ids_p = {t.canonical_key(): i for i, t in enumerate(trees_p)}
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
-                for i in range(len(trees)):
+                for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])
-                    for j in range(len(trees)):
+                    for j, tj in enumerate(trees):
                         report.checked += 1
-                        if dist_w[i][j] != dist_p[lifted[j]]:
+                        dist_w = weighted_distance(g, w, ti, tj)
+                        if dist_w != dist_p[lifted[j]]:
                             report.failures.append(
                                 f"n={n} edges={g.edges} w={ws} pair=({i},{j}): "
-                                f"{dist_w[i][j]} != {dist_p[lifted[j]]}"
+                                f"{dist_w} != {dist_p[lifted[j]]}"
                             )
     return report
 

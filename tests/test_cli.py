@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,26 @@ def test_threads_flag_is_accepted(files, capsys):
     g = files("g.txt", P3)
     code, out = run(capsys, "--threads", "4", "enumerate", g)
     assert code == 0 and out.strip() == "count 5"
+
+
+@pytest.mark.parametrize(
+    "argv, texts, code",
+    [
+        # a spanning tree of P3 that is not an elimination tree (1-3 is no edge)
+        (["dist", "g", "a", "b", "--path"], {"g": P3, "a": CHAIN_123, "b": "2 -\n1 2\n3 1\n"}, 2),
+        # a second line for label 3
+        (["dist", "g", "a", "b"], {"g": P3, "a": CHAIN_123 + "3 1\n", "b": CHAIN_123}, 2),
+        (["diameter", "g"], {"g": "2 0\n1\n2\n"}, 3),
+    ],
+)
+def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    cmd = [str(tmp_path / a) if a in texts else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gassoc.cli", *cmd], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr

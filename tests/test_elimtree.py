@@ -194,3 +194,33 @@ def test_tree_text_round_trip():
         parse_tree(g, "1 -\n2 -\n3 2\n")  # two roots
     with pytest.raises(ParseError):
         parse_tree(g, "1 - extra\n2 1\n3 2\n")
+
+
+def test_parse_tree_rejects_non_elimination_trees():
+    g = path_graph(3)
+    with pytest.raises(ParseError):
+        parse_tree(g, "2 -\n1 2\n3 1\n")  # 1-3 is no edge of the path
+    with pytest.raises(ParseError):
+        parse_tree(g, "1 -\n2 1\n3 1\n")  # {2} and {3} are joined by an edge
+
+
+def test_parse_tree_rejects_duplicate_lines():
+    g = path_graph(3)
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_tree(g, "1 -\n2 1\n3 2\n3 1\n")
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_tree(g, "1 -\n2 1\n3 2\n3 2\n")
+
+
+def test_from_ordering_rejects_disconnected_graph():
+    g = Graph(["1", "2", "3"], [("1", "2")])
+    with pytest.raises(InvalidArgument, match="connected"):
+        ElimTree.from_ordering(g, ["1", "2", "3"])
+
+
+def test_constructor_rejects_parent_index_out_of_range():
+    g = path_graph(3)
+    with pytest.raises(InvalidArgument):
+        ElimTree(g, [-1, 0, 3])
+    with pytest.raises(InvalidArgument):
+        ElimTree(g, [-2, 0, 1])

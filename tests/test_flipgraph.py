@@ -13,6 +13,7 @@ import pytest
 
 from gassoc.elimtree import ElimTree, SwapMove
 from gassoc.errors import InvalidArgument, ResourceLimit
+from gassoc.graph import Graph
 from gassoc.flipgraph import (
     ReconfigSequence,
     diameter,
@@ -274,3 +275,11 @@ def test_dot_export_shape():
     assert dot.startswith("graph flipgraph {")
     assert dot.count("--") == 5  # the pentagon
     assert dot.count("label=") == 5
+
+
+def test_disconnected_host_graph_is_rejected():
+    g = Graph(["1", "2"], [])
+    with pytest.raises(InvalidArgument, match="connected"):
+        explicit_flip_graph(g)
+    with pytest.raises(InvalidArgument, match="connected"):
+        diameter(g)
