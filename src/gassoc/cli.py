@@ -8,6 +8,7 @@ Big integers appear in JSON output as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -111,7 +112,9 @@ def cmd_rank(args) -> int:
 
 def cmd_reduce_cut(args) -> int:
     g = parse_graph(_read(args.graph))
-    inst = build_weighted_instance(g, args.s, args.t, N=args.N)
+    inst = build_weighted_instance(
+        g, args.s, args.t, N=args.N, node_budget=args.node_budget
+    )
     write_bundle(
         args.outdir,
         inst.graph,
@@ -143,7 +146,7 @@ def cmd_reduce_blowup(args) -> int:
     w = parse_weights(g, _read(args.weights_file))
     t1 = parse_tree(g, _read(args.tree1))
     t2 = parse_tree(g, _read(args.tree2))
-    inst = build_unweighted_instance(g, w, t1, t2)
+    inst = build_unweighted_instance(g, w, t1, t2, node_budget=args.node_budget)
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar)
     payload = {"vertices": inst.graph.n, "edges": inst.graph.m}
     _emit(args, payload, f"vertices {inst.graph.n}\nedges {inst.graph.m}")
@@ -174,6 +177,7 @@ def cmd_project(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gassoc")
     p.add_argument("--threads", type=int, default=1, help="accepted for "
@@ -243,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -276,27 +276,29 @@ def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def _chunked_eccentricities(adj: list[list[int]], sources: Sequence[int]) -> list[int]:
-    """Eccentricities of many sources at once via scipy's compiled BFS."""
+def _eccentricities(adj: list[list[int]], sources: Sequence[int]) -> list[int]:
+    """Eccentricities of ``sources`` (within their components) by bit-parallel
+    BFS (Then et al., VLDB 2014): 512 sources at a time, one bit each in a
+    vertex's uint64 words, one gather and one OR-reduce over CSR rows a level."""
     import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
 
-    n = len(adj)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, nbrs in enumerate(adj):
-        indptr[i + 1] = indptr[i] + len(nbrs)
-    indices = np.fromiter(
-        (u for nbrs in adj for u in nbrs), dtype=np.int64, count=int(indptr[-1])
-    )
-    data = np.ones(len(indices), dtype=np.int8)
-    mat = csr_matrix((data, indices, indptr), shape=(n, n))
+    rows = [(v, *row) for v, row in enumerate(adj)]  # closed: no empty segment
+    starts = np.cumsum([0, *map(len, rows)], dtype=np.intp)[:-1]
+    indices = np.fromiter((u for row in rows for u in row), dtype=np.intp)
     eccs: list[int] = []
-    chunk = max(1, min(256, len(sources)))
-    for lo in range(0, len(sources), chunk):
-        idx = np.asarray(sources[lo : lo + chunk], dtype=np.int64)
-        dist = dijkstra(mat, unweighted=True, indices=idx)
-        eccs.extend(int(x) for x in dist.max(axis=1))
+    for lo in range(0, len(sources), 512):
+        batch = np.asarray(sources[lo : lo + 512], dtype=np.intp)
+        word, shift = np.divmod(np.arange(len(batch), dtype=np.uint64), np.uint64(64))
+        front = np.zeros((len(adj), (len(batch) + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(front, (batch, word), np.uint64(1) << shift)
+        unseen, ecc, level = ~front, np.zeros(len(batch), dtype=np.int64), 0
+        while (alive := np.bitwise_or.reduce(front, axis=0)).any():
+            ecc[(alive[word] >> shift & 1).astype(bool)] = level
+            level += 1
+            front = np.bitwise_or.reduceat(front.take(indices, 0), starts, axis=0)
+            front &= unseen
+            unseen ^= front
+        eccs.extend(ecc.tolist())
     return eccs
 
 
@@ -322,7 +324,7 @@ def adjacency_diameter(adj: list[list[int]], exact_allpairs: bool = False) -> in
         return n - 1
 
     if exact_allpairs:
-        return max(_chunked_eccentricities(adj, list(range(n))))
+        return max(_eccentricities(adj, range(n)))
 
     d0 = bfs_distances(adj, 0)
     a = max(range(n), key=d0.__getitem__)
@@ -355,11 +357,7 @@ def adjacency_diameter(adj: list[list[int]], exact_allpairs: bool = False) -> in
                 batch.append(u)
             pos += 1
         if batch:
-            if len(batch) > 32 and n > 4096:
-                lb = max(lb, max(_chunked_eccentricities(adj, batch)))
-            else:
-                for u in batch:
-                    lb = max(lb, max(bfs_distances(adj, u)))
+            lb = max(lb, max(_eccentricities(adj, batch)))
     return lb
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, SwapMove, format_tree, parse_tree, project
-from .errors import IllegalMove, InvalidArgument
-from .flipgraph import ReconfigSequence
+from .errors import IllegalMove, InvalidArgument, ResourceLimit
+from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence
 from .graph import (
     Graph,
     check_weights,
@@ -88,6 +88,15 @@ def paper_n(g: Graph) -> int:
     return 10 * n**3 * g.m
 
 
+def _check_size(vertices: int, edges: int, node_budget: int) -> None:
+    """Refuse an instance, from its closed-form size, before building it."""
+    if vertices + edges > node_budget:
+        raise ResourceLimit(
+            f"instance would have {vertices} vertices and {edges} edges, "
+            f"more than the node budget {node_budget} in total"
+        )
+
+
 def _check_source(g: Graph, s: str, t: str) -> None:
     if s == t:
         raise InvalidArgument("s and t must differ")
@@ -99,10 +108,17 @@ def _check_source(g: Graph, s: str, t: str) -> None:
 
 
 def build_weighted_instance(
-    g: Graph, s: str, t: str, N: int | None = None
+    g: Graph,
+    s: str,
+    t: str,
+    N: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WeightedInstance:
     """Subdivide edges, duplicate vertices, and expand s and t into
-    cliques of size N^3; weights N / N^8 / 1 / N^4 per vertex class."""
+    cliques of size N^3; weights N / N^8 / 1 / N^4 per vertex class.
+
+    Raises ResourceLimit, before building anything, when the instance's
+    vertices plus edges would exceed ``node_budget``."""
     _check_source(g, s, t)
     if N is None:
         N = paper_n(g)
@@ -111,6 +127,12 @@ def build_weighted_instance(
     n = (g.n - 2) // 2
     m = g.m
     k = N**3
+    # 2n + 2 originals and copies, m subdivisions, two k-cliques; each edge
+    # reaches its subdivision vertex from both copies and from each end (the
+    # k clique vertices for s or t).
+    st_ends = sum(end in (s, t) for e in g.edges for end in e)
+    edges = 4 * m + (k - 1) * st_ends + k * (k - 1)
+    _check_size(4 * n + 2 + m + 2 * k, edges, node_budget)
 
     inner = [v for v in g.labels if v not in (s, t)]  # v_1 ... v_2n
     v_orig = [f"v:{v}" for v in inner]
@@ -254,12 +276,25 @@ def sufficiency_sequence(
 
 
 def build_unweighted_instance(
-    g: Graph, w: Mapping[str, int], t_ini: ElimTree, t_tar: ElimTree
+    g: Graph,
+    w: Mapping[str, int],
+    t_ini: ElimTree,
+    t_tar: ElimTree,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BlowupInstance:
     """Replace every vertex v by a clique of w(v) copies; trees replace v
     by the path v_1 -> ... -> v_{w(v)}, with arcs entering at v_1 and
-    leaving from v_{w(v)}."""
+    leaving from v_{w(v)}.
+
+    Raises ResourceLimit, before building anything, when the instance's
+    vertices plus edges would exceed ``node_budget``."""
     check_weights(g, w)
+    clique_edges = sum(w[v] * (w[v] - 1) // 2 for v in g.labels)
+    _check_size(
+        sum(w[v] for v in g.labels),
+        clique_edges + sum(w[a] * w[b] for a, b in g.edges),
+        node_budget,
+    )
     copy_map = {
         v: tuple(f"b:{v}:{i}" for i in range(1, w[v] + 1)) for v in g.labels
     }

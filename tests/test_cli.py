@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,16 @@ def test_diameter_text(files, capsys):
     assert lines[1] == "vertices 6"
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact-allpairs"]])
+def test_diameter_json_is_an_integer(files, capsys, mode):
+    g = files("g.txt", K3)
+    code, out = run(capsys, "diameter", g, "--json", *mode)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["diameter"], payload["vertices"]) == (3, 6)
+    assert type(payload["diameter"]) is int
+
+
 def test_enumerate_and_dot(files, capsys):
     g = files("g.txt", P3)
     code, out = run(capsys, "enumerate", g)
@@ -184,9 +195,55 @@ def test_exit_code_semantic_error(files, capsys):
     ]) == 3
 
 
-def test_exit_code_resource_limit(files, capsys):
+def test_exit_code_resource_limit(files, capsys, tmp_path):
     g = files("g.txt", K3)
     assert main(["--node-budget", "2", "enumerate", g]) == 4
+    # the P4 instance at N = 2 has 25 vertices and 82 edges
+    p4 = files("p4.txt", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n")
+    cut = ["reduce", "cut", p4, "s", "t", str(tmp_path / "cut"), "--N", "2"]
+    assert main(["--node-budget", "106", *cut]) == 4
+    assert main(["--node-budget", "107", *cut]) == 0
+    # weights 2, 1, 2 on P3: 5 vertices, 1 + 1 + 2 + 2 edges
+    w = files("w.txt", "1 2\n2 1\n3 2\n")
+    t = files("t.tree", CHAIN_123)
+    blowup = ["reduce", "blowup", files("p3.txt", P3), w, t, t, str(tmp_path / "bp")]
+    assert main(["--node-budget", "10", *blowup]) == 4
+    assert main(["--node-budget", "11", *blowup]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, texts",
+    [
+        # no --N: N = 30 on P4, two cliques of 27,000 vertices
+        (
+            ["reduce", "cut", "g", "s", "t", "out"],
+            {"g": "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n"},
+        ),
+        (
+            ["reduce", "blowup", "g", "w", "a", "b", "out"],
+            {"g": P3, "w": "1 100000\n2 1\n3 2\n", "a": CHAIN_123, "b": CHAIN_321},
+        ),
+    ],
+)
+def test_oversized_reduction_is_refused_before_building(tmp_path, argv, texts):
+    import resource
+
+    def cap_memory():  # a regression must fail here, not exhaust the host
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    cmd = [str(tmp_path / a) if a in texts or a == "out" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gassoc.cli", *cmd],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("resource limit: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "out").exists()
 
 
 def test_threads_flag_is_accepted(files, capsys):

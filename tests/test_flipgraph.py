@@ -16,6 +16,8 @@ from gassoc.errors import InvalidArgument, ResourceLimit
 from gassoc.graph import Graph
 from gassoc.flipgraph import (
     ReconfigSequence,
+    _eccentricities,
+    bfs_distances,
     diameter,
     distance,
     enumerate_all,
@@ -267,6 +269,69 @@ def test_diameter_pruned_equals_allpairs():
     for g in [cycle_graph(5), path_graph(6), star_graph(5),
               random_connected_graph(6, 0.4, 3)]:
         assert diameter(g) == diameter(g, exact_allpairs=True)
+
+
+def _reference_eccentricities(adj, sources):
+    return [max(bfs_distances(adj, s)) for s in sources]
+
+
+def test_eccentricity_kernel_exhaustive():
+    for n in range(1, 6):
+        for g in connected_graphs_up_to_iso(n):
+            adj = explicit_flip_graph(g)[1]
+            assert _eccentricities(adj, range(len(adj))) == _reference_eccentricities(
+                adj, range(len(adj))
+            )
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: path_graph(8),
+        lambda: cycle_graph(7),
+        lambda: star_graph(6),
+        lambda: complete_graph(6),
+        lambda: random_connected_graph(7, 0.4, 1),
+    ],
+)
+def test_eccentricity_kernel_families(builder):
+    adj = explicit_flip_graph(builder())[1]
+    eccs = _eccentricities(adj, range(len(adj)))
+    assert eccs == _reference_eccentricities(adj, range(len(adj)))
+    assert all(type(e) is int for e in eccs)
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 512, 513])
+def test_eccentricity_kernel_word_and_batch_edges(k):
+    # P8 has 1,430 trees; sources in shuffled order, with a repeat at k = 513
+    adj = explicit_flip_graph(path_graph(8))[1]
+    sources = random.Random(k).sample(range(len(adj)), min(k, 512))
+    sources += sources[: k - len(sources)]
+    assert _eccentricities(adj, sources) == _reference_eccentricities(adj, sources)
+
+
+def test_eccentricity_kernel_reports_per_component():
+    # vertex 0 is isolated; 1-2 and 3-4-5 are two components; 5 comes twice
+    adj = [[], [2], [1], [4], [3, 5], [4]]
+    assert _eccentricities(adj, [5, 4, 0, 1, 5]) == [2, 1, 0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "builder, expected",
+    [
+        (lambda: cycle_graph(8), 14),
+        (lambda: star_graph(7), 12),
+        (lambda: complete_graph(6), 15),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_diameter_pruned_equals_allpairs_shuffled_labels(builder, expected, seed):
+    g = builder()
+    labels = list(g.labels)
+    random.Random(seed).shuffle(labels)
+    rename = dict(zip(g.labels, labels))
+    h = Graph(sorted(labels), [(rename[a], rename[b]) for a, b in g.edges])
+    assert diameter(h) == diameter(h, exact_allpairs=True) == expected
 
 
 def test_dot_export_shape():

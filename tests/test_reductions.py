@@ -1,12 +1,12 @@
 """Reduction instance builders, sufficiency sequence, blow-up machinery."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from gassoc.elimtree import ElimTree, SwapMove, project
-from gassoc.errors import InvalidArgument, ParseError
+from gassoc.errors import InvalidArgument, ParseError, ResourceLimit
 from gassoc.flipgraph import (
     ReconfigSequence,
     distance,
@@ -59,6 +59,19 @@ def test_weighted_instance_sizes_and_weights():
     assert w["u:1"] == 1
     assert w["s:1"] == w["t:8"] == 2**4
     assert len([lab for lab in inst.graph.labels if lab.startswith("s:")]) == 8
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize(
+    "source",
+    [path_source, cycle_source, lambda: Graph(list("sabt"), list(combinations("sabt", 2)))],
+)
+def test_weighted_instance_size_guard_is_exact(source, N):
+    inst = build_weighted_instance(source(), "s", "t", N=N)
+    size = inst.graph.n + inst.graph.m
+    build_weighted_instance(source(), "s", "t", N=N, node_budget=size)
+    with pytest.raises(ResourceLimit, match="node budget"):
+        build_weighted_instance(source(), "s", "t", N=N, node_budget=size - 1)
 
 
 def test_weighted_instance_orderings():
@@ -137,6 +150,18 @@ def test_blowup_k2_to_k5():
     inst = build_unweighted_instance(g, {"1": 2, "2": 3}, t, t)
     assert inst.graph.n == 5
     assert inst.graph.m == 10  # complete on 5 vertices
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 1, 3, 2), (4, 3, 1, 5)])
+def test_blowup_size_guard_is_exact(weights):
+    g = cycle_source()
+    w = dict(zip(g.labels, weights))
+    t = ElimTree.from_ordering(g, g.labels)
+    inst = build_unweighted_instance(g, w, t, t)
+    size = inst.graph.n + inst.graph.m
+    build_unweighted_instance(g, w, t, t, node_budget=size)
+    with pytest.raises(ResourceLimit, match="node budget"):
+        build_unweighted_instance(g, w, t, t, node_budget=size - 1)
 
 
 def test_blowup_tree_path_rule():
