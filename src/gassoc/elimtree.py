@@ -97,7 +97,7 @@ class ElimTree:
             raise InvalidArgument("empty graph has no elimination tree")
         if not g.is_connected():
             raise InvalidArgument("host graph must be connected")
-        return cls(g, _ordering_parent(g, order))
+        return cls(g, _ordering_parent(g.adj, order))
 
     # -- queries ------------------------------------------------------
 
@@ -265,21 +265,22 @@ def swap_neighbors(
             yield u, v, nb, array("l", nb).tobytes()
 
 
-def _ordering_parent(g: Graph, order: Sequence[int]) -> list[int]:
-    """The parent array of the elimination tree of vertex order ``order``:
-    adding the vertices in reverse, each one becomes the parent of the
-    roots of the trees it touches."""
-    parent = [-1] * g.n
-    top = list(range(g.n))  # union-find towards the root of each tree so far
+def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The parent tuple of the elimination tree of vertex order ``order``
+    on the graph with adjacency masks ``adj``: adding the vertices in
+    reverse, each one becomes the parent of the roots of the trees it
+    touches. A disconnected graph gets one root per component."""
+    parent = [-1] * len(adj)
+    top = list(range(len(adj)))  # union-find towards the root of each tree so far
     done = 0
     for v in reversed(order):
-        for x in iter_bits(g.adj[v] & done):
+        for x in iter_bits(adj[v] & done):
             while top[x] != x:
                 top[x] = x = top[top[x]]
             if x != v:
                 parent[x] = top[x] = v
         done |= 1 << v
-    return parent
+    return tuple(parent)
 
 
 def is_valid(g: Graph, t: ElimTree) -> bool:
@@ -287,22 +288,37 @@ def is_valid(g: Graph, t: ElimTree) -> bool:
     a linear extension of ``t`` (each vertex after its parent)."""
     if t.graph.labels != g.labels or not g.is_connected():
         return False
-    return _ordering_parent(g, _root_first(t.parent, t.children)) == list(t.parent)
+    return _ordering_parent(g.adj, _root_first(t.parent, t.children)) == t.parent
+
+
+class _Projector:
+    """T -> T|_U on packed states, for one vertex set U of G: ``index`` maps
+    the host indices in U, in host order, to U's own indices, and ``adj``
+    holds G[U]'s adjacency masks over those. A linear extension of T,
+    restricted to U, gives T|_U: the subtree of a in either is the
+    component of a in G[U & subtree_T(a)]."""
+
+    __slots__ = ("index", "adj")
+
+    def __init__(self, adj: Sequence[int], mask: int):
+        self.index = index = {v: k for k, v in enumerate(iter_bits(mask))}
+        self.adj = [sum(1 << index[x] for x in iter_bits(adj[v] & mask)) for v in index]
+        if self(index).count(-1) != 1:  # one root per component of G[U]
+            raise InvalidArgument("projection target must induce a connected subgraph")
+
+    def __call__(self, order: Iterable[int]) -> tuple[int, ...]:
+        """The parent tuple of T|_U, from a root-first order of T."""
+        index = self.index
+        return _ordering_parent(self.adj, [index[v] for v in order if v in index])
 
 
 def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
     """The projection T|_U: the elimination tree of G[U] in which a is an
     ancestor of b iff a is an ancestor of b in T and a, b are connected in
     G[U] minus the T-ancestors of a."""
-    u_mask = g.mask(u)
-    subg = induced_subgraph(g, (lab for i, lab in enumerate(g.labels) if u_mask >> i & 1))
-    if not subg.is_connected():
-        raise InvalidArgument("projection target must induce a connected subgraph")
-    # A linear extension of T, restricted to U, gives the same tree: the
-    # subtree of a in either is the component of a in G[U & subtree_T(a)].
-    order = _root_first(t.parent, t.children)
-    order = [subg.index(g.labels[i]) for i in order if u_mask >> i & 1]
-    return ElimTree(subg, _ordering_parent(subg, order))
+    proj = _Projector(g.adj, g.mask(u))
+    subg = induced_subgraph(g, (g.labels[i] for i in proj.index))
+    return ElimTree(subg, proj(_root_first(t.parent, t.children)))
 
 
 # -- text formats -----------------------------------------------------

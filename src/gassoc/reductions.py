@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove, format_tree, parse_tree, project
+from .elimtree import (
+    ElimTree, SwapMove, _Projector, _root_first, format_tree, parse_tree
+)
 from .errors import IllegalMove, InvalidArgument, ResourceLimit
 from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence
 from .graph import (
@@ -402,37 +404,29 @@ def project_sequence(
     steps whose projection does not move. The input must not swap two
     copies of the same source vertex (canonicalize first)."""
     g = inst.source
-    gp = inst.graph
     for v in g.labels:
-        if not 1 <= phi[v] <= inst.weights[v]:
-            raise InvalidArgument(f"phi({v!r}) out of range")
+        if not 1 <= phi.get(v, 0) <= inst.weights[v]:
+            raise InvalidArgument(f"phi({v!r}) is missing or out of range")
     for mv in seq_prime.moves:
         if inst.source_of(mv.u) == inst.source_of(mv.v):
             raise InvalidArgument("intra-clique swap present; canonicalize first")
-    u_phi = [inst.copy_map[v][phi[v] - 1] for v in g.labels]
-
-    def down(tree_prime: ElimTree) -> ElimTree:
-        proj = project(gp, tree_prime, u_phi)
-        parent = [-1] * g.n
-        for lab in proj.graph.labels:
-            p = proj.parent_of(lab)
-            if p is not None:
-                parent[g.index(inst.source_of(lab))] = g.index(inst.source_of(p))
-        return ElimTree(g, parent)
-
+    # The blow-up lists the copies in source vertex order, so U's own
+    # indices are the source indices and T'|_U is a parent tuple over G.
+    gp = inst.graph
+    proj = _Projector(gp.adj, gp.mask(inst.copy_map[v][phi[v] - 1] for v in g.labels))
     tree_prime = seq_prime.start
-    cur = down(tree_prime)
-    start = cur
+    tree = ElimTree(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
+    start = tree
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         tree_prime = tree_prime.apply_swap(mv)
-        nxt = down(tree_prime)
-        if nxt.canonical_key() != cur.canonical_key():
+        nxt = proj(_root_first(tree_prime.parent, tree_prime.children))
+        if nxt != tree.parent:
             smv = SwapMove(inst.source_of(mv.u), inst.source_of(mv.v))
-            if cur.apply_swap(smv).canonical_key() != nxt.canonical_key():
+            tree = tree.apply_swap(smv)
+            if tree.parent != nxt:
                 raise AssertionError("projection changed by a non-swap step")
             moves.append(smv)
-            cur = nxt
     return ReconfigSequence(start, tuple(moves))
 
 

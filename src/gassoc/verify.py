@@ -10,7 +10,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .elimtree import ElimTree, project
+from .elimtree import (
+    ElimTree, SwapMove, _children, _Projector, _root_first, swap_neighbors
+)
 from .flipgraph import (
     ReconfigSequence,
     bfs_distances,
@@ -18,7 +20,6 @@ from .flipgraph import (
     explicit_flip_graph,
     weighted_distance,
 )
-from .graph import Graph, iter_bits
 from .polymatroid import GraphAssocRank, check_axioms, verify_realization
 from .reductions import BlowupInstance, blowup_tree, build_unweighted_instance
 from .smallgraphs import connected_graphs_up_to_iso, random_connected_graph
@@ -80,42 +81,35 @@ def verify_realization_suite(max_n: int = 5) -> SuiteReport:
     return report
 
 
-def _connected_subsets(g: Graph) -> list[list[str]]:
-    out = []
-    for mask in range(1, g.full_mask + 1):
-        if g.component_of((mask & -mask).bit_length() - 1, mask) == mask:
-            out.append([g.labels[i] for i in iter_bits(mask)])
-    return out
-
-
 def verify_projection_suite(max_n: int = 5) -> SuiteReport:
     """For every tree, swap, and connected vertex subset, the projection
     either stays fixed or changes by exactly the projected swap."""
     report = SuiteReport("projection")
     for n in range(2, max_n + 1):
         for g in connected_graphs_up_to_iso(n):
-            subsets = _connected_subsets(g)
+            projs = [
+                _Projector(g.adj, mask)
+                for mask in range(1, g.full_mask + 1)
+                if g.component_of((mask & -mask).bit_length() - 1, mask) == mask
+            ]
             for t in enumerate_all(g):
-                projs = {
-                    tuple(u): project(g, t, u).canonical_key() for u in subsets
-                }
-                for move in t.enumerate_swaps():
-                    t2 = t.apply_swap(move)
-                    for u in subsets:
+                before = [p(_root_first(t.parent, t.children)) for p in projs]
+                # The swap kernel on G[U], not the projection, says what
+                # swap(u, v) does to T|_U (for u, v both in U).
+                swaps = [
+                    {q[:3] for q in swap_neighbors(p.adj, p1)}
+                    for p, p1 in zip(projs, before)
+                ]
+                for u, v, nb, _ in swap_neighbors(g.adj, t.parent):
+                    order = _root_first(nb, _children(nb))
+                    for p, p1, p_swaps in zip(projs, before, swaps):
                         report.checked += 1
-                        p2 = project(g, t2, u)
-                        if p2.canonical_key() == projs[tuple(u)]:
+                        p2 = p(order)
+                        if p2 == p1 or (p.index.get(u), p.index.get(v), p2) in p_swaps:
                             continue
-                        if move.u in u and move.v in u:
-                            p1 = project(g, t, u)
-                            if (
-                                p1.parent_of(move.v) == move.u
-                                and p1.apply_swap(move).canonical_key()
-                                == p2.canonical_key()
-                            ):
-                                continue
                         report.failures.append(
-                            f"n={n} edges={g.edges} U={u} move={move}"
+                            f"n={n} edges={g.edges} U={[g.labels[i] for i in p.index]} "
+                            f"move={SwapMove(g.labels[u], g.labels[v])}"
                         )
     return report
 
@@ -213,23 +207,18 @@ def averaging_inequality_holds(
     same vertex never change a projection, so no canonicalization is
     required here.
     """
-    g = inst.source
     gp = inst.graph
     trees = [seq_prime.start]
     for mv in seq_prime.moves:
         trees.append(trees[-1].apply_swap(mv))
-    src = inst.source_of
-    best = None
-    for combo in product(*(range(1, inst.weights[v] + 1) for v in g.labels)):
-        phi = dict(zip(g.labels, combo))
-        u_phi = [inst.copy_map[v][phi[v] - 1] for v in g.labels]
-        length = 0
-        prev = project(gp, trees[0], u_phi).canonical_key()
-        for mv, tree in zip(seq_prime.moves, trees[1:]):
-            cur = project(gp, tree, u_phi).canonical_key()
-            if cur != prev:
-                length += inst.weights[src(mv.u)] * inst.weights[src(mv.v)]
-                prev = cur
-        if best is None or length < best:
-            best = length
-    return best is not None and best <= len(seq_prime.moves)
+    orders = [_root_first(t.parent, t.children) for t in trees]
+    w, src = inst.weights, inst.source_of
+    costs = [w[src(mv.u)] * w[src(mv.v)] for mv in seq_prime.moves]
+
+    def length(copies: tuple[str, ...]) -> int:
+        proj = _Projector(gp.adj, gp.mask(copies))
+        path = [proj(order) for order in orders]
+        return sum(c for c, a, b in zip(costs, path, path[1:]) if a != b)
+
+    selections = product(*(inst.copy_map[v] for v in inst.source.labels))
+    return min(map(length, selections)) <= len(seq_prime.moves)

@@ -86,7 +86,7 @@ def test_criterion_2_stellohedron_diameter():
     assert time.monotonic() - start < 1.0
 
 
-@pytest.mark.slow  # about 600 s; `pytest -m "not slow"` skips it locally
+@pytest.mark.slow  # about 50 s; `pytest -m "not slow"` skips it locally
 def test_criterion_3_associahedron_diameter():
     # Catalan oracle for the vertex count of the path-11 associahedron
     cat = 1

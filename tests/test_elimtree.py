@@ -156,6 +156,13 @@ def test_projection_drops_blocked_ancestry():
         project(g, t, ["1", "3"])
 
 
+def test_projection_rejects_empty_target():
+    g = path_graph(3)
+    t = chain(g, ["2", "1", "3"])
+    with pytest.raises(InvalidArgument, match="must induce a connected subgraph"):
+        project(g, t, [])
+
+
 def test_projection_identity():
     g = cycle_graph(5)
     t = chain(g, ["3", "1", "5", "2", "4"])

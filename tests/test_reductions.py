@@ -249,6 +249,15 @@ def test_project_rejects_intra_clique_swaps():
         project_sequence(inst, dirty, {"1": 1, "2": 1, "3": 1})
 
 
+def test_project_rejects_incomplete_copy_selection():
+    g, w, inst = small_blowup()
+    empty = ReconfigSequence(inst.t_ini, ())
+    with pytest.raises(InvalidArgument, match="'2'"):
+        project_sequence(inst, empty, {"1": 1, "3": 2})
+    with pytest.raises(InvalidArgument, match="'3'"):
+        project_sequence(inst, empty, {"1": 1, "2": 1, "3": 4})
+
+
 def test_canonicalize_removes_intra_clique_swaps():
     g, w, inst = small_blowup()
     rng = random.Random(11)

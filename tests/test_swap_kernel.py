@@ -4,7 +4,9 @@ The oracle below is a copy of the earlier ``ElimTree`` constructor checks,
 ``ElimTree.apply_swap`` (component search inside the parent's subtree,
 then a fully re-validated tree), the component-by-component ``is_valid``,
 the vertex-removal ``from_ordering`` and the pairwise ``project``. It
-works on parent tuples and never calls the kernel.
+works on parent tuples and never calls the kernel. The blow-up helpers
+``project_sequence`` and ``averaging_inequality_holds`` are checked
+against copies of their earlier tree-by-tree code, on ``oracle_project``.
 """
 
 import random
@@ -14,9 +16,10 @@ from itertools import permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassoc.elimtree import ElimTree, is_valid, project, swap_neighbors
-from gassoc.flipgraph import enumerate_all, explicit_flip_graph
+from gassoc.elimtree import ElimTree, SwapMove, is_valid, project, swap_neighbors
+from gassoc.flipgraph import ReconfigSequence, enumerate_all, explicit_flip_graph
 from gassoc.graph import induced_subgraph, iter_bits
+from gassoc.reductions import build_unweighted_instance, lift_sequence, project_sequence
 from gassoc.smallgraphs import (
     complete_graph,
     connected_graphs_up_to_iso,
@@ -25,6 +28,7 @@ from gassoc.smallgraphs import (
     random_connected_graph,
     star_graph,
 )
+from gassoc.verify import averaging_inequality_holds
 
 
 def oracle_children(g, parent):
@@ -241,3 +245,82 @@ def test_project_matches_oracle():
                     assert project(g, t, labels).parent == oracle_project(g, t, labels)
                     checked += 1
     assert checked > 10000
+
+
+def oracle_down(inst, tree_prime, phi):
+    """The source tree that a blow-up tree projects to under phi, relabelled
+    from the projected copies to their source vertices."""
+    g, gp = inst.source, inst.graph
+    u_phi = [inst.copy_map[v][phi[v] - 1] for v in g.labels]
+    members = [lab for lab in gp.labels if lab in u_phi]
+    proj = oracle_project(gp, tree_prime, u_phi)
+    parent = [-1] * g.n
+    for lab, p in zip(members, proj):
+        if p >= 0:
+            parent[g.index(inst.source_of(lab))] = g.index(inst.source_of(members[p]))
+    return ElimTree(g, parent)
+
+
+def oracle_project_sequence(inst, seq_prime, phi):
+    tree_prime = seq_prime.start
+    cur = start = oracle_down(inst, tree_prime, phi)
+    moves = []
+    for mv in seq_prime.moves:
+        tree_prime = tree_prime.apply_swap(mv)
+        nxt = oracle_down(inst, tree_prime, phi)
+        if nxt.canonical_key() != cur.canonical_key():
+            smv = SwapMove(inst.source_of(mv.u), inst.source_of(mv.v))
+            assert cur.apply_swap(smv).canonical_key() == nxt.canonical_key()
+            moves.append(smv)
+            cur = nxt
+    return ReconfigSequence(start, tuple(moves))
+
+
+def oracle_averaging(inst, seq_prime):
+    g, w, src = inst.source, inst.weights, inst.source_of
+    trees = [seq_prime.start]
+    for mv in seq_prime.moves:
+        trees.append(trees[-1].apply_swap(mv))
+    best = None
+    for combo in product(*(range(1, w[v] + 1) for v in g.labels)):
+        phi = dict(zip(g.labels, combo))
+        length = 0
+        prev = oracle_down(inst, trees[0], phi).parent
+        for mv, tree in zip(seq_prime.moves, trees[1:]):
+            cur = oracle_down(inst, tree, phi).parent
+            if cur != prev:
+                length += w[src(mv.u)] * w[src(mv.v)]
+                prev = cur
+        if best is None or length < best:
+            best = length
+    return best <= len(seq_prime.moves)
+
+
+def random_walk(start, steps, rng):
+    tree, moves = start, []
+    for _ in range(steps):
+        moves.append(rng.choice(tree.enumerate_swaps()))
+        tree = tree.apply_swap(moves[-1])
+    return ReconfigSequence(start, tuple(moves))
+
+
+def test_blowup_projections_match_oracle():
+    rng = random.Random(0)
+    checked = 0
+    for n in range(2, 5):
+        for g in connected_graphs_up_to_iso(n):
+            w = {v: rng.randint(1, 3) for v in g.labels}
+            base = ElimTree.from_ordering(g, g.labels)
+            inst = build_unweighted_instance(g, w, base, base)
+            lifted = lift_sequence(inst, random_walk(base, 4, rng))
+            for combo in product(*(range(1, w[v] + 1) for v in g.labels)):
+                phi = dict(zip(g.labels, combo))
+                got = project_sequence(inst, lifted, phi)
+                want = oracle_project_sequence(inst, lifted, phi)
+                assert (got.start.parent, got.moves) == (want.start.parent, want.moves)
+                checked += 1
+            # a raw walk may also swap two copies of one vertex
+            for seq in (lifted, random_walk(inst.t_ini, 8, rng)):
+                want = oracle_averaging(inst, seq)
+                assert averaging_inequality_holds(inst, seq) == want
+    assert checked > 50

@@ -1,8 +1,10 @@
 """Verification suites and the hardness-instance property helpers."""
 
 import random
+import re
 
-from gassoc.elimtree import ElimTree
+from gassoc import verify
+from gassoc.elimtree import ElimTree, _Projector, swap_neighbors
 from gassoc.flipgraph import ReconfigSequence, shortest_path
 from gassoc.graph import Graph
 from gassoc.reductions import (
@@ -45,6 +47,51 @@ def test_projection_suite_small():
     report = verify_projection_suite(max_n=4)
     assert report.ok
     assert report.checked > 1000
+
+
+FAILURE = re.compile(
+    r"n=\d+ edges=\(.*\) U=\[('[^']+', )*'[^']+'\] "
+    r"move=SwapMove\(u='[^']+', v='[^']+'\)"
+)
+
+
+def assert_reports_failures(report):
+    assert not report.ok
+    assert report.checked == 4530  # every (tree, swap, U) with n <= 4
+    assert all(FAILURE.fullmatch(f) for f in report.failures), report.failures[:3]
+
+
+def test_projection_suite_catches_a_wrong_projection(monkeypatch):
+    # T|_U from a leaf-first order turns the ancestry inside U upside down
+    class Upside(_Projector):
+        def __call__(self, order):
+            return super().__call__(list(order)[::-1])
+
+    monkeypatch.setattr(verify, "_Projector", Upside)
+    assert_reports_failures(verify_projection_suite(max_n=4))
+
+
+def test_projection_suite_catches_a_wrong_swap_rule(monkeypatch):
+    # on G[U] only, swap(u, v) leaves every child subtree of v below v
+    class OnSubgraph(list):
+        pass
+
+    class Marking(_Projector):
+        def __init__(self, adj, mask):
+            super().__init__(adj, mask)
+            self.adj = OnSubgraph(self.adj)
+
+    def careless(adj, parent):
+        for u, v, nb, key in swap_neighbors(adj, parent):
+            if isinstance(adj, OnSubgraph):
+                nb = list(parent)
+                nb[u], nb[v] = v, parent[u]
+                nb = tuple(nb)
+            yield u, v, nb, key
+
+    monkeypatch.setattr(verify, "_Projector", Marking)
+    monkeypatch.setattr(verify, "swap_neighbors", careless)
+    assert_reports_failures(verify_projection_suite(max_n=4))
 
 
 def test_blowup_suite_small():
