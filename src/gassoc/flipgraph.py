@@ -279,12 +279,16 @@ def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
 def _eccentricities(adj: list[list[int]], sources: Sequence[int]) -> list[int]:
     """Eccentricities of ``sources`` (within their components) by bit-parallel
     BFS (Then et al., VLDB 2014): 512 sources at a time, one bit each in a
-    vertex's uint64 words, one gather and one OR-reduce over CSR rows a level."""
+    vertex's uint64 words. The adjacency becomes a dense (N, D) index matrix,
+    D the largest degree, a shorter row padded with the vertex itself; each
+    level ORs in one gathered column at a time."""
     import numpy as np
 
-    rows = [(v, *row) for v, row in enumerate(adj)]  # closed: no empty segment
-    starts = np.cumsum([0, *map(len, rows)], dtype=np.intp)[:-1]
-    indices = np.fromiter((u for row in rows for u in row), dtype=np.intp)
+    width = max(1, max(map(len, adj), default=0))
+    nbrs = np.array(
+        [row + [v] * (width - len(row)) for v, row in enumerate(adj)], dtype=np.intp
+    )
+    cols = list(nbrs.T.copy())
     eccs: list[int] = []
     for lo in range(0, len(sources), 512):
         batch = np.asarray(sources[lo : lo + 512], dtype=np.intp)
@@ -295,9 +299,12 @@ def _eccentricities(adj: list[list[int]], sources: Sequence[int]) -> list[int]:
         while (alive := np.bitwise_or.reduce(front, axis=0)).any():
             ecc[(alive[word] >> shift & 1).astype(bool)] = level
             level += 1
-            front = np.bitwise_or.reduceat(front.take(indices, 0), starts, axis=0)
-            front &= unseen
-            unseen ^= front
+            nxt = front.take(cols[0], 0)
+            for col in cols[1:]:
+                nxt |= front.take(col, 0)
+            nxt &= unseen
+            unseen ^= nxt
+            front = nxt
         eccs.extend(ecc.tolist())
     return eccs
 
@@ -307,58 +314,16 @@ def diameter(
     exact_allpairs: bool = False,
     cap: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """Exact flip-graph diameter.
-
-    The default mode prunes with eccentricity bounds from a central
-    vertex (double sweep + iFUB-style candidate processing); the
-    ``exact_allpairs`` mode computes every eccentricity for verification.
-    Both return the same value.
+    """Exact flip-graph diameter: the largest eccentricity, every one computed
+    by the bit-parallel BFS kernel. ``exact_allpairs`` is accepted for
+    compatibility and changes nothing; there is only this one mode.
     """
-    return adjacency_diameter(explicit_flip_graph(g, cap)[1], exact_allpairs)
+    return adjacency_diameter(explicit_flip_graph(g, cap)[1])
 
 
-def adjacency_diameter(adj: list[list[int]], exact_allpairs: bool = False) -> int:
-    """Diameter of a connected explicit graph, in the two modes of ``diameter``."""
-    n = len(adj)
-    if n <= 2:
-        return n - 1
-
-    if exact_allpairs:
-        return max(_eccentricities(adj, range(n)))
-
-    d0 = bfs_distances(adj, 0)
-    a = max(range(n), key=d0.__getitem__)
-    da = bfs_distances(adj, a)
-    b = max(range(n), key=da.__getitem__)
-    db = bfs_distances(adj, b)
-    lb = max(db)  # ecc(b) >= d(a, b) = ecc(a)
-    # Midpoint of an a-b geodesic serves as the pruning center.
-    half = da[b] // 2
-    center = min(
-        (v for v in range(n) if da[v] + db[v] == da[b] and da[v] == half),
-        default=a,
-    )
-    dc = bfs_distances(adj, center)
-    ecc_c = max(dc)
-    lb = max(lb, ecc_c)
-    # Any vertex v has ecc(v) <= dc[v] + ecc_c, and a pair realizing a
-    # distance > 2i has an endpoint deeper than level i from the center.
-    order = sorted(range(n), key=lambda v: -dc[v])
-    pos = 0
-    while pos < len(order):
-        v = order[pos]
-        if lb >= 2 * dc[v]:
-            break
-        batch = []
-        level = dc[v]
-        while pos < len(order) and dc[order[pos]] == level:
-            u = order[pos]
-            if dc[u] + ecc_c > lb:
-                batch.append(u)
-            pos += 1
-        if batch:
-            lb = max(lb, max(_eccentricities(adj, batch)))
-    return lb
+def adjacency_diameter(adj: list[list[int]]) -> int:
+    """Diameter of a connected explicit graph: its largest eccentricity."""
+    return max(_eccentricities(adj, range(len(adj))))
 
 
 def flip_graph_dot(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Iterator
 
 from .errors import InvalidArgument
@@ -68,34 +68,30 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(labs, edges)
 
 
-def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        img = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-        if best is None or img < best:
-            best = img
-    return best  # type: ignore[return-value]
-
-
 def connected_graphs_up_to_iso(n: int) -> Iterator[Graph]:
     """All connected graphs on n <= 6 vertices, one per isomorphism class.
 
-    Canonical form by minimizing the sorted edge list over all vertex
-    permutations; fine at this scale.
+    Edge sets are bitmasks over the vertex pairs; a class is represented by
+    its smallest mask, the one no vertex permutation maps lower. Classes
+    come in increasing mask order.
     """
     if n > 6:
         raise InvalidArgument("isomorphism enumeration capped at n = 6")
     labs = _labels(n)
     pairs = list(combinations(range(n), 2))
-    seen: set[tuple] = set()
-    for bits in range(1 << len(pairs)):
-        if bits.bit_count() < n - 1:
+    bit = {p: 1 << k for k, p in enumerate(pairs)}
+    # images[i][k]: the bit of pair k's image under the i-th non-identity
+    # vertex permutation
+    images = [
+        [bit[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+        for p in islice(permutations(range(n)), 1, None)
+    ]
+    for mask in range(1 << len(pairs)):
+        if mask.bit_count() < n - 1:
             continue
-        edges = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
-        g = Graph(labs, [(labs[a], labs[b]) for a, b in sorted(edges)])
-        if not g.is_connected():
+        ks = [k for k in range(len(pairs)) if mask >> k & 1]
+        if any(sum(map(img.__getitem__, ks)) < mask for img in images):
             continue
-        canon = _canonical_edges(n, edges)
-        if canon not in seen:
-            seen.add(canon)
+        g = Graph(labs, [(labs[pairs[k][0]], labs[pairs[k][1]]) for k in ks])
+        if g.is_connected():
             yield g

@@ -132,10 +132,10 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
     report = SuiteReport("blowup-equiv")
     for n in range(2, min(5, max_total)):
         for gi, g in enumerate(connected_graphs_up_to_iso(n)):
+            trees = enumerate_all(g)
+            base = ElimTree.from_ordering(g, g.labels)
             for ws in _blowup_weight_sets(n, max_total, 2, seed * 97 + gi):
                 w = dict(zip(g.labels, ws))
-                trees = enumerate_all(g)
-                base = ElimTree.from_ordering(g, g.labels)
                 inst = build_unweighted_instance(g, w, base, base)
                 trees_p, adj_p = explicit_flip_graph(inst.graph)
                 ids_p = {t.canonical_key(): i for i, t in enumerate(trees_p)}

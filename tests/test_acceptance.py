@@ -86,7 +86,7 @@ def test_criterion_2_stellohedron_diameter():
     assert time.monotonic() - start < 1.0
 
 
-@pytest.mark.slow  # about 50 s; `pytest -m "not slow"` skips it locally
+@pytest.mark.slow  # about 30 s; `pytest -m "not slow"` skips it locally
 def test_criterion_3_associahedron_diameter():
     # Catalan oracle for the vertex count of the path-11 associahedron
     cat = 1
@@ -100,7 +100,7 @@ def test_criterion_3_associahedron_diameter():
     assert diameter(g) == 16  # 2n - 6 at n = 11
     assert time.monotonic() - start < 1800.0
 
-    # the pruned computation agrees with naive all-pairs at n = 8
+    # the exact_allpairs flag is still accepted and changes nothing at n = 8
     g8 = path_graph(8)
     assert diameter(g8) == diameter(g8, exact_allpairs=True)
 

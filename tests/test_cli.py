@@ -273,3 +273,49 @@ def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from gassoc.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_numpy_is_imported_only_by_diameter(tmp_path):
+    # The peak RSS of the dist, reduce and verify workloads depends on this:
+    # only the eccentricity kernel imports numpy, lazily.
+    paths = {}
+    for name, text in [("g", P3), ("p4", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n"),
+                       ("w", "1 2\n2 1\n3 2\n"), ("a", CHAIN_123), ("b", CHAIN_321)]:
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    g, a, b = paths["g"], paths["a"], paths["b"]
+    commands = [
+        ["dist", g, a, b],
+        ["dist", g, a, b, "--weights", paths["w"], "--path"],
+        ["reduce", "cut", paths["p4"], "s", "t", str(tmp_path / "cut"),
+         "--N", "2", "--sufficiency", "s,v1"],
+        ["reduce", "blowup", g, paths["w"], a, b, str(tmp_path / "bp")],
+        ["enumerate", g],
+        ["rank", g, "1", "2"],
+        *(["verify", suite] for suite in ("axioms", "realization", "projection",
+                                          "blowup-equiv")),
+        ["diameter", g],  # the control: this one must load numpy
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [code for code, _ in report] == [0] * len(commands)
+    # once imported, numpy stays loaded: the first command listed imported it
+    loaded = [argv[:2] for argv, (_, numpy) in zip(commands, report) if numpy]
+    assert loaded == [["diameter", g]]

@@ -265,14 +265,31 @@ def test_small_diameters(builder, expected):
     assert diameter(builder()) == expected
 
 
-def test_diameter_pruned_equals_allpairs():
-    for g in [cycle_graph(5), path_graph(6), star_graph(5),
-              random_connected_graph(6, 0.4, 3)]:
-        assert diameter(g) == diameter(g, exact_allpairs=True)
-
-
 def _reference_eccentricities(adj, sources):
     return [max(bfs_distances(adj, s)) for s in sources]
+
+
+def test_diameter_pruned_equals_allpairs():
+    # exact_allpairs no longer selects a second mode; both calls must equal
+    # the largest eccentricity found by plain BFS from every vertex
+    graphs = [cycle_graph(5), path_graph(6), star_graph(5),
+              random_connected_graph(6, 0.4, 3)]
+    graphs += [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
+    for g in graphs:
+        adj = explicit_flip_graph(g)[1]
+        expected = max(_reference_eccentricities(adj, range(len(adj))))
+        assert diameter(g) == diameter(g, exact_allpairs=True) == expected
+
+
+def test_flip_graph_is_regular():
+    # every tree has exactly n - 1 swaps, to n - 1 distinct trees, so the
+    # kernel's dense neighbour matrix needs no padding on a flip graph
+    graphs = [path_graph(8), cycle_graph(7), star_graph(6), complete_graph(6)]
+    graphs += [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
+    for g in graphs:
+        for i, row in enumerate(explicit_flip_graph(g)[1]):
+            assert len(set(row)) == len(row) == g.n - 1
+            assert i not in row
 
 
 def test_eccentricity_kernel_exhaustive():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import combinations, permutations
 
 from gassoc import verify
 from gassoc.elimtree import ElimTree, _Projector, swap_neighbors
@@ -26,9 +27,39 @@ from gassoc.verify import (
 
 
 def test_iso_class_counts():
-    # connected graphs up to isomorphism: 1, 1, 2, 6, 21 for n = 1..5
-    for n, expected in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)]:
+    # connected graphs up to isomorphism: 1, 1, 2, 6, 21, 112 for n = 1..6
+    for n, expected in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]:
         assert sum(1 for _ in connected_graphs_up_to_iso(n)) == expected
+
+
+def _oracle_connected_graphs_up_to_iso(n):
+    """The former enumeration: canonical form by minimizing the sorted edge
+    list over all vertex permutations, first graph of each form kept."""
+    labs = [str(i) for i in range(1, n + 1)]
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        if bits.bit_count() < n - 1:
+            continue
+        edges = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
+        g = Graph(labs, [(labs[a], labs[b]) for a, b in sorted(edges)])
+        if not g.is_connected():
+            continue
+        canon = min(
+            tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+            for perm in permutations(range(n))
+        )
+        if canon not in seen:
+            seen.add(canon)
+            yield g
+
+
+def test_iso_classes_match_oracle():
+    # same representatives, same edge lists, same order
+    for n in range(1, 6):
+        assert [(g.labels, g.edges) for g in connected_graphs_up_to_iso(n)] == [
+            (g.labels, g.edges) for g in _oracle_connected_graphs_up_to_iso(n)
+        ]
 
 
 def test_axioms_suite_small():
