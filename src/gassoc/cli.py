@@ -25,7 +25,6 @@ from .flipgraph import (
     flip_graph_dot,
     moves_weight,
     shortest_path,
-    weighted_distance,
     weighted_shortest_path,
 )
 from .graph import parse_graph, parse_weights
@@ -46,7 +45,7 @@ __all__ = ["main"]
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -62,16 +61,14 @@ def cmd_dist(args) -> int:
     t1 = parse_tree(g, _read(args.tree1))
     t2 = parse_tree(g, _read(args.tree2))
     w = parse_weights(g, _read(args.weights)) if args.weights else None
-    if args.path and w is None:
-        seq = shortest_path(g, t1, t2, node_budget=args.node_budget)
-        d = len(seq)
-    elif args.path:
+    if w is not None:
         seq = weighted_shortest_path(g, w, t1, t2, node_budget=args.node_budget)
         d = moves_weight(seq.moves, w)
-    elif w is None:
-        d = distance(g, t1, t2, node_budget=args.node_budget)
+    elif args.path:
+        seq = shortest_path(g, t1, t2, node_budget=args.node_budget)
+        d = len(seq)
     else:
-        d = weighted_distance(g, w, t1, t2, node_budget=args.node_budget)
+        d = distance(g, t1, t2, node_budget=args.node_budget)
     payload: dict = {"distance": str(d)}
     lines = [f"distance {d}"]
     if args.path:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IllegalMove, InvalidArgument, ParseError
-from .graph import Graph, induced_subgraph, iter_bits
+from .graph import Graph, _content_lines, _two_fields, induced_subgraph, iter_bits
 
 __all__ = [
     "SwapMove",
@@ -44,10 +44,11 @@ class ElimTree:
 
     Stored as a parent array over the host's dense indices (-1 at the
     root); children lists are derived once and kept sorted by index so
-    all traversals are deterministic.
+    all traversals are deterministic. Subtree masks are computed on first
+    use and carried across ``apply_swap``.
     """
 
-    __slots__ = ("graph", "parent", "root", "children", "_key")
+    __slots__ = ("graph", "parent", "root", "children", "_key", "_masks")
 
     def __init__(self, graph: Graph, parent: Sequence[int]):
         parent = tuple(parent)
@@ -62,19 +63,21 @@ class ElimTree:
         self.graph, self.parent, self.root = graph, parent, roots[0]
         self.children: tuple[tuple[int, ...], ...] = _children(parent)
         self._key: bytes | None = None
+        self._masks: list[int] | None = None
         # Reject parent maps with cycles (they never reach the root).
         if len(_root_first(parent, self.children)) != n:
             raise InvalidArgument("parent pointers do not form a spanning tree")
 
     @classmethod
     def _trusted(
-        cls, graph: Graph, parent: tuple[int, ...], children=None, key: bytes | None = None
+        cls, graph: Graph, parent: tuple[int, ...], children=None,
+        key: bytes | None = None, masks: list[int] | None = None,
     ) -> "ElimTree":
         """A tree from the swap kernel, valid by construction: no checks."""
         tree = object.__new__(cls)
         tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
         tree.children = _children(parent) if children is None else children
-        tree._key = key
+        tree._key, tree._masks = key, masks
         return tree
 
     # -- construction -------------------------------------------------
@@ -113,14 +116,12 @@ class ElimTree:
         return self.graph.labels[self.root]
 
     def subtree_mask(self, i: int) -> int:
-        mask = 1 << i
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                mask |= 1 << c
-                stack.append(c)
-        return mask
+        return self._all_masks()[i]
+
+    def _all_masks(self) -> list[int]:
+        if self._masks is None:
+            self._masks = _subtree_masks(self.parent, self.children)
+        return self._masks
 
     def ancestors(self, label: str) -> frozenset[str]:
         """Strict ancestors of ``label`` (the vertex itself excluded)."""
@@ -162,14 +163,19 @@ class ElimTree:
         if self.parent[iv] != iu:
             raise IllegalMove(f"{move.v!r} is not a child of {move.u!r}")
         kids = self.children
-        sub = {c: self.subtree_mask(c) for c in kids[iv]}
+        sub = self._all_masks()
         parent = _swapped(g.adj, self.parent, kids, sub, iu, iv)
-        # Only u, v and the old parent of u get new children.
+        # Only u, v and the old parent of u get new children, and only u
+        # and v new subtrees: v takes u's, and u keeps it minus v's, plus
+        # the child subtrees of v that move below u.
         near = kids[iu] + kids[iv] + (iu, iv)
         new = list(kids)
         for x in {iu, iv, self.parent[iu]} - {-1}:
             new[x] = tuple(sorted({c for c in near + kids[x] if parent[c] == x}))
-        return ElimTree._trusted(g, parent, tuple(new))
+        masks = list(sub)
+        masks[iv] = sub[iu]
+        masks[iu] = sub[iu] & ~sub[iv] | sum(sub[c] for c in kids[iv] if parent[c] == iu)
+        return ElimTree._trusted(g, parent, tuple(new), masks=masks)
 
     # -- encodings ------------------------------------------------------
 
@@ -232,6 +238,16 @@ def _root_first(parent: Sequence[int], children: Sequence[Sequence[int]]) -> lis
     return order
 
 
+def _subtree_masks(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
+    """The subtree mask of every vertex, by one bottom-up pass."""
+    sub = [1 << i for i in range(len(parent))]
+    for v in reversed(_root_first(parent, children)):
+        p = parent[v]
+        if p >= 0:
+            sub[p] |= sub[v]
+    return sub
+
+
 def _swapped(adj, parent, children, sub, u: int, v: int) -> tuple[int, ...]:
     """The parent tuple after swap(u, v); ``sub[c]`` is the subtree mask of
     each child c of v."""
@@ -254,11 +270,7 @@ def swap_neighbors(
     one bottom-up pass finds every subtree mask; nothing is re-validated,
     since a swap of an elimination tree is one by construction."""
     children = _children(parent)
-    sub = [1 << i for i in range(len(parent))]
-    for v in reversed(_root_first(parent, children)):
-        p = parent[v]
-        if p >= 0:
-            sub[p] |= sub[v]
+    sub = _subtree_masks(parent, children)
     for v, u in enumerate(parent):
         if u >= 0:
             nb = _swapped(adj, parent, children, sub, u, v)
@@ -328,14 +340,8 @@ def parse_tree(g: Graph, text: str) -> ElimTree:
     """Parse the tree format: one ``label parent-label`` line per vertex,
     with ``-`` marking the root."""
     parent = [None] * g.n
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad tree line {line!r}")
-        child, par = parts
+    for line in _content_lines(text):
+        child, par = _two_fields(line, "tree")
         try:
             ci = g.index(child)
             if parent[ci] is not None:

@@ -215,20 +215,28 @@ def balanced_min_cut_exists(
     if g.n > max_vertices:
         raise InvalidArgument(f"brute-force cap exceeded: {g.n} > {max_vertices}")
     lam = min_st_cut_value(g, s, t)
-    si, ti = g.index(s), g.index(t)
-    others = [i for i in range(g.n) if i not in (si, ti)]
-    half = g.n // 2
-    for chosen in combinations(others, half - 1):
-        xmask = (1 << si) | sum(1 << i for i in chosen)
-        size = 0
-        for a, b in g.edges:
-            if (xmask >> g._index[a] & 1) != (xmask >> g._index[b] & 1):
-                size += 1
-                if size > lam:
-                    break
-        if size == lam:
-            return True, g.labels_from_mask(xmask)
+    others = [lab for lab in g.labels if lab not in (s, t)]
+    for chosen in combinations(others, g.n // 2 - 1):
+        if len(cut_edges(g, (s, *chosen))) == lam:
+            return True, frozenset((s, *chosen))
     return False, None
+
+
+def _content_lines(text: str) -> Iterator[str]:
+    """The non-blank lines of a text input, stripped, with anything after
+    a ``#`` cut off as a comment."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
+def _two_fields(line: str, kind: str) -> tuple[str, str]:
+    """The two whitespace-separated fields of a ``kind`` line."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"bad {kind} line {line!r}")
+    return parts[0], parts[1]
 
 
 def parse_graph(text: str) -> Graph:
@@ -236,11 +244,7 @@ def parse_graph(text: str) -> Graph:
 
     Anything after a ``#`` is a comment; blank lines are skipped.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty graph file")
     head = lines[0].split()
@@ -253,12 +257,7 @@ def parse_graph(text: str) -> Graph:
     if len(lines) != 1 + n + m:
         raise ParseError(f"expected {1 + n + m} lines, got {len(lines)}")
     vertices = lines[1 : 1 + n]
-    edges = []
-    for line in lines[1 + n :]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad edge line {line!r}")
-        edges.append((parts[0], parts[1]))
+    edges = [_two_fields(line, "edge") for line in lines[1 + n :]]
     try:
         return Graph(vertices, edges)
     except InvalidArgument as exc:
@@ -267,20 +266,17 @@ def parse_graph(text: str) -> Graph:
 
 def parse_weights(g: Graph, text: str) -> dict[str, int]:
     """Parse a weights file: one ``label weight`` line for every vertex of
-    ``g`` (labels not in ``g`` are ignored). Anything after a ``#`` is a
-    comment."""
+    ``g`` (labels not in ``g`` are ignored, a second line for a label is
+    rejected). Anything after a ``#`` is a comment."""
     weights = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad weight line {line!r}")
+    for line in _content_lines(text):
+        lab, val = _two_fields(line, "weight")
+        if lab in weights:
+            raise ParseError(f"duplicate weight line for {lab!r}")
         try:
-            weights[parts[0]] = int(parts[1])
+            weights[lab] = int(val)
         except ValueError:
-            raise ParseError(f"bad weight value {parts[1]!r}") from None
+            raise ParseError(f"bad weight value {val!r}") from None
     for lab in g.labels:
         if lab not in weights:
             raise ParseError(f"missing weight for {lab!r}")

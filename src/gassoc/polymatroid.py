@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, _root_first, swap_neighbors
+from .elimtree import ElimTree, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .flipgraph import enumerate_all
 from .graph import Graph, iter_bits
@@ -168,16 +168,12 @@ def devadoss_coordinates(g: Graph, t: ElimTree) -> dict[str, int]:
     every subtree sums to 3^(size - 2)."""
     if g.n < 2:
         raise InvalidArgument("coordinates require at least two vertices")
-    coords = [0] * g.n
-    size = [1] * g.n
-    subtree_sum = [0] * g.n
-    # Process vertices bottom-up (children before parents).
-    for v in reversed(_root_first(t.parent, t.children)):
-        size[v] += sum(size[c] for c in t.children[v])
-        if size[v] > 1:
-            subtree_sum[v] = 3 ** (size[v] - 2)
-            coords[v] = subtree_sum[v] - sum(subtree_sum[c] for c in t.children[v])
-    return {g.labels[i]: coords[i] for i in range(g.n)}
+    sizes = (t.subtree_mask(v).bit_count() for v in range(g.n))
+    subtree_sum = [3 ** (size - 2) if size > 1 else 0 for size in sizes]
+    return {
+        lab: subtree_sum[v] - sum(subtree_sum[c] for c in t.children[v])
+        for v, lab in enumerate(g.labels)
+    }
 
 
 def membership(oracle: RankOracle, x: Mapping[str, int], cap: int = 20) -> bool:

@@ -20,10 +20,11 @@ from .elimtree import (
     ElimTree, SwapMove, _Projector, _root_first, format_tree, parse_tree
 )
 from .errors import IllegalMove, InvalidArgument, ResourceLimit
-from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence
+from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence, validate_sequence
 from .graph import (
     Graph,
     check_weights,
+    cut_edges,
     format_graph,
     min_st_cut_value,
     parse_graph,
@@ -203,23 +204,23 @@ def threshold(inst: WeightedInstance) -> int:
     return 4 * lam * N**7 + (n * n - n + 1) * N * N
 
 
-def _lift_subdivision(
-    tree: ElimTree, lifted_order: Sequence[str]
-) -> tuple[list[SwapMove], ElimTree]:
-    """Bubble each listed vertex upward until every vertex above it has
-    already been lifted; returns the swaps and the resulting tree."""
-    moves: list[SwapMove] = []
-    lifted: set[str] = set()
-    for u in lifted_order:
-        while True:
-            p = tree.parent_of(u)
-            if p is None or p in lifted:
-                break
-            mv = SwapMove(p, u)
-            moves.append(mv)
-            tree = tree.apply_swap(mv)
-        lifted.add(u)
-    return moves, tree
+def _bubble_up(
+    tree: ElimTree, order: Sequence[str], climb, moves: list[SwapMove]
+) -> ElimTree:
+    """Swap each vertex of ``order`` in turn with its parent p while
+    ``climb(p, the vertices before it in order)`` holds; appends the swaps
+    to ``moves`` and returns the tree reached."""
+    before: set[str] = set()
+    for u in order:
+        while (p := tree.parent_of(u)) is not None and climb(p, before):
+            moves.append(SwapMove(p, u))
+            tree = tree.apply_swap(moves[-1])
+        before.add(u)
+    return tree
+
+
+def _not_lifted(p: str, lifted: set[str]) -> bool:
+    return p not in lifted
 
 
 def sufficiency_sequence(
@@ -238,36 +239,28 @@ def sufficiency_sequence(
     below ``threshold`` when N^2 > 4*lambda*n*N + 2*lambda*m."""
     g = inst.source
     xset = frozenset(x)
-    xmask = g.mask(xset)
+    cut = set(cut_edges(g, xset))
     if inst.s not in xset or inst.t in xset:
         raise InvalidArgument("X must contain s and avoid t")
     if 2 * len(xset) != g.n:
         raise InvalidArgument("X must be a bisection of the source vertex set")
-    crossing = [
-        i
-        for i, (a, b) in enumerate(g.edges, start=1)
-        if (xmask >> g.index(a) & 1) != (xmask >> g.index(b) & 1)
-    ]
-    if len(crossing) != inst.cut_value:
+    if len(cut) != inst.cut_value:
         raise InvalidArgument(
-            f"X is not a minimum cut: |cut| = {len(crossing)} != {inst.cut_value}"
+            f"X is not a minimum cut: |cut| = {len(cut)} != {inst.cut_value}"
         )
-    lift_order = [f"u:{i}" for i in crossing]
+    lift_order = [f"u:{i}" for i, e in enumerate(g.edges, start=1) if e in cut]
 
-    moves, tree = _lift_subdivision(inst.t_ini, lift_order)
-
+    # A lifted vertex climbs past every vertex not lifted before it; then
+    # each original climbs past the originals before it on its side.
+    moves: list[SwapMove] = []
+    tree = _bubble_up(inst.t_ini, lift_order, _not_lifted, moves)
     inner = [v for v in g.labels if v not in (inst.s, inst.t)]
     for side in (xset, frozenset(g.labels) - xset):
         vs = [f"v:{v}" for v in inner if v in side]
-        for j in range(1, len(vs)):
-            above = set(vs[:j])
-            u = vs[j]
-            while tree.parent_of(u) in above:
-                mv = SwapMove(tree.parent_of(u), u)
-                moves.append(mv)
-                tree = tree.apply_swap(mv)
+        tree = _bubble_up(tree, vs, lambda p, before: p in before, moves)
 
-    back_moves, tree_from_tar = _lift_subdivision(inst.t_tar, lift_order)
+    back_moves: list[SwapMove] = []
+    tree_from_tar = _bubble_up(inst.t_tar, lift_order, _not_lifted, back_moves)
     if tree.canonical_key() != tree_from_tar.canonical_key():
         raise AssertionError("lifted trees from both ends disagree")
     moves.extend(mv.reversed() for mv in reversed(back_moves))
@@ -353,11 +346,9 @@ def lift_sequence(inst: BlowupInstance, seq: ReconfigSequence) -> ReconfigSequen
             for uc in reversed(ucopies):
                 moves.append(SwapMove(uc, vc))
     lifted = ReconfigSequence(start_prime, tuple(moves))
-    # The lifted walk must land exactly on the blow-up of the final tree.
-    cur = start_prime
-    for mv in lifted.moves:
-        cur = cur.apply_swap(mv)
-    if cur.canonical_key() != blowup_tree(inst, tree).canonical_key():
+    # The lifted walk must be legal and land on the blow-up of the final tree.
+    ok, end = validate_sequence(inst.graph, lifted)
+    if not ok or end.canonical_key() != blowup_tree(inst, tree).canonical_key():
         raise AssertionError("lifted sequence does not reach the blown-up target")
     return lifted
 

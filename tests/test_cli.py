@@ -260,11 +260,19 @@ def test_threads_flag_is_accepted(files, capsys):
         # a second line for label 3
         (["dist", "g", "a", "b"], {"g": P3, "a": CHAIN_123 + "3 1\n", "b": CHAIN_123}, 2),
         (["diameter", "g"], {"g": "2 0\n1\n2\n"}, 3),
+        # not UTF-8
+        (["diameter", "g"], {"g": b"\xff\xfe2 1\n1\n2\n1 2\n"}, 2),
+        # a second weight line for label 1
+        (["dist", "g", "a", "a", "--weights", "w"],
+         {"g": P3, "a": CHAIN_123, "w": "1 1\n2 2\n1 5\n3 1\n"}, 2),
     ],
 )
 def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
     for name, text in texts.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     cmd = [str(tmp_path / a) if a in texts else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run(

@@ -11,6 +11,7 @@ from gassoc.graph import (
     min_st_cut_value,
     nontrivial_components,
     parse_graph,
+    parse_weights,
 )
 from gassoc.smallgraphs import complete_graph, cycle_graph, path_graph
 
@@ -103,3 +104,26 @@ def test_parse_errors():
         parse_graph("2 2\na\nb\na b")
     with pytest.raises(ParseError):
         parse_graph("2 1\na\nb\na z")
+
+
+P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def test_parse_weights_skips_comments_blank_lines_and_other_labels():
+    w = parse_weights(P3, "# weights\n\na 1  # light\n  b 22\nz 9\nc 3\n")
+    assert {lab: w[lab] for lab in P3.labels} == {"a": 1, "b": 22, "c": 3}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a 1\nb 2 7\nc 3\n", "bad weight line 'b 2 7'"),
+        ("a 1\nb\nc 3\n", "bad weight line 'b'"),
+        ("a 1\nb two\nc 3\n", "bad weight value 'two'"),
+        ("a 1\nc 3\n", "missing weight for 'b'"),
+        ("a 1\nb 2\na 5\nc 3\n", "duplicate weight line for 'a'"),
+    ],
+)
+def test_parse_weights_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_weights(P3, text)

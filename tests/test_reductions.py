@@ -134,6 +134,8 @@ def test_sufficiency_rejects_bad_cuts():
         sufficiency_sequence(inst, ["s"])  # not balanced
     with pytest.raises(InvalidArgument):
         sufficiency_sequence(inst, ["s", "v1", "v2"])  # t side too small
+    with pytest.raises(InvalidArgument, match="unknown vertex label: 'zz'"):
+        sufficiency_sequence(inst, ["zz", "t"])  # reported before the t check
 
 
 def test_blowup_unit_weights_identity_shape():

@@ -16,10 +16,20 @@ from itertools import permutations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassoc.elimtree import ElimTree, SwapMove, is_valid, project, swap_neighbors
-from gassoc.flipgraph import ReconfigSequence, enumerate_all, explicit_flip_graph
-from gassoc.graph import induced_subgraph, iter_bits
-from gassoc.reductions import build_unweighted_instance, lift_sequence, project_sequence
+from gassoc.elimtree import (
+    ElimTree, SwapMove, _subtree_masks, is_valid, project, swap_neighbors
+)
+from gassoc.flipgraph import (
+    ReconfigSequence, enumerate_all, explicit_flip_graph, validate_sequence
+)
+from gassoc.graph import Graph, induced_subgraph, iter_bits
+from gassoc.reductions import (
+    build_unweighted_instance,
+    build_weighted_instance,
+    lift_sequence,
+    project_sequence,
+    sufficiency_sequence,
+)
 from gassoc.smallgraphs import (
     complete_graph,
     connected_graphs_up_to_iso,
@@ -186,11 +196,35 @@ def test_kernel_matches_oracle_random(n, p, seed, order, walk):
     g = random_connected_graph(n, p, seed)
     labels = list(g.labels)
     order.shuffle(labels)
-    parent = ElimTree.from_ordering(g, labels).parent
+    tree = ElimTree.from_ordering(g, labels)
+    parent = tree.parent
     for step in walk:
         assert_kernel_matches(g, parent)
+        assert_masks_match(g, tree)
         parent = oracle_neighbors(g, parent)[step % (n - 1)][2]
+        tree = tree.apply_swap(tree.enumerate_swaps()[step % (n - 1)])
+        assert tree.parent == parent
     assert_kernel_matches(g, parent)
+    assert_masks_match(g, tree)
+
+
+def assert_masks_match(g, tree):
+    """The masks a tree carries from ``apply_swap`` against the DFS oracle."""
+    kids = oracle_children(g, tree.parent)
+    assert [tree.subtree_mask(i) for i in range(g.n)] == [
+        oracle_subtree(kids, i) for i in range(g.n)
+    ]
+
+
+def test_masks_carried_along_a_sufficiency_sequence():
+    source = Graph(["s", "v1", "v2", "t"], [("s", "v1"), ("v1", "v2"), ("v2", "t")])
+    inst = build_weighted_instance(source, "s", "t", N=3)
+    seq = sufficiency_sequence(inst, ["s", "v1"])
+    assert len(seq.moves) > 100
+    ok, final = validate_sequence(inst.graph, seq)
+    assert ok and final.parent == inst.t_tar.parent
+    carried = [final.subtree_mask(i) for i in range(inst.graph.n)]
+    assert carried == _subtree_masks(final.parent, final.children)
 
 
 def test_explicit_flip_graph_matches_oracle():
