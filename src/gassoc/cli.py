@@ -30,6 +30,7 @@ from .flipgraph import (
 from .graph import parse_graph, parse_weights
 from .polymatroid import GraphAssocRank
 from .reductions import (
+    _write_fresh,
     build_unweighted_instance,
     build_weighted_instance,
     instance_meta,
@@ -112,14 +113,8 @@ def cmd_reduce_cut(args) -> int:
     inst = build_weighted_instance(
         g, args.s, args.t, N=args.N, node_budget=args.node_budget
     )
-    write_bundle(
-        args.outdir,
-        inst.graph,
-        inst.t_ini,
-        inst.t_tar,
-        weights=inst.weights,
-        meta=instance_meta(inst),
-    )
+    write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar, weights=inst.weights,
+                 meta=instance_meta(inst))
     lines = [f"lambda {inst.cut_value}", f"threshold {threshold(inst)}"]
     payload = {"lambda": inst.cut_value, "threshold": str(threshold(inst))}
     if args.sufficiency:
@@ -128,8 +123,8 @@ def cmd_reduce_cut(args) -> int:
         # Built move by move through apply_swap, which rejects an illegal
         # move, so the sequence needs no second replay.
         weight = moves_weight(seq.moves, inst.weights)
-        out = Path(args.outdir) / "sufficiency.moves"
-        out.write_text("".join(f"{m.u} {m.v}\n" for m in seq.moves))
+        _write_fresh(Path(args.outdir) / "sufficiency.moves",
+                     "".join(f"{m.u} {m.v}\n" for m in seq.moves))
         lines.append(f"sequence_weight {weight}")
         lines.append(f"below_threshold {weight < threshold(inst)}")
         payload["sequence_weight"] = str(weight)

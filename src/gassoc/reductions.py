@@ -435,14 +435,20 @@ def write_bundle(
     """Write the on-disk instance bundle (graph, trees, weights, meta)."""
     d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "graph.txt").write_text(format_graph(graph))
-    (d / "t_ini.tree").write_text(format_tree(t_ini))
-    (d / "t_tar.tree").write_text(format_tree(t_tar))
+    _write_fresh(d / "graph.txt", format_graph(graph))
+    _write_fresh(d / "t_ini.tree", format_tree(t_ini))
+    _write_fresh(d / "t_tar.tree", format_tree(t_tar))
     if weights is not None:
-        lines = [f"{lab} {weights[lab]}" for lab in graph.labels]
-        (d / "weights.txt").write_text("\n".join(lines) + "\n")
+        _write_fresh(d / "weights.txt", "".join(f"{lab} {weights[lab]}\n" for lab in graph.labels))
     if meta is not None:
-        (d / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _write_fresh(d / "meta.json", json.dumps(meta, indent=2) + "\n")
+
+
+def _write_fresh(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file. Truncating the old file, or
+    renaming over it, makes ext4 wait until its old contents are on disk."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 def read_bundle(path: str | Path) -> dict:

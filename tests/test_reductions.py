@@ -1,5 +1,6 @@
 """Reduction instance builders, sufficiency sequence, blow-up machinery."""
 
+import os
 import random
 from itertools import combinations, product
 
@@ -291,6 +292,23 @@ def test_bundle_round_trip(tmp_path):
     assert back["weights"] == inst.weights
     assert back["meta"]["threshold"] == str(threshold(inst))
     assert back["meta"]["N"] == "2"
+
+
+def test_rewritten_bundle_gets_new_files(tmp_path):
+    # A rewrite creates each file anew instead of truncating the old one in
+    # place, so a hard link to the old file keeps the old contents.
+    small = build_weighted_instance(path_source(), "s", "t", N=2)
+    big = build_weighted_instance(path_source(), "s", "t", N=3)
+    write_bundle(tmp_path / "b", small.graph, small.t_ini, small.t_tar,
+                 weights=small.weights)
+    old = (tmp_path / "b" / "graph.txt").read_text()
+    os.link(tmp_path / "b" / "graph.txt", tmp_path / "old.txt")
+    write_bundle(tmp_path / "b", big.graph, big.t_ini, big.t_tar, weights=big.weights)
+    assert (tmp_path / "old.txt").read_text() == old
+    back = read_bundle(tmp_path / "b")
+    assert back["graph"].labels == big.graph.labels
+    assert back["t_tar"].canonical_key() == big.t_tar.canonical_key()
+    assert back["weights"] == big.weights
 
 
 def test_read_bundle_rejects_bad_weight_value(tmp_path):
