@@ -17,10 +17,8 @@ from .graph import (
 from .elimtree import (
     ElimTree,
     SwapMove,
-    format_ordering,
     format_tree,
     is_valid,
-    parse_ordering,
     parse_tree,
     project,
 )

@@ -27,7 +27,7 @@ from .flipgraph import (
     shortest_path,
     weighted_shortest_path,
 )
-from .graph import parse_graph, parse_weights
+from .graph import _read_text, parse_graph, parse_weights
 from .polymatroid import GraphAssocRank
 from .reductions import (
     _write_fresh,
@@ -43,13 +43,6 @@ from .verify import SUITES
 __all__ = ["main"]
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
@@ -58,10 +51,10 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_dist(args) -> int:
-    g = parse_graph(_read(args.graph))
-    t1 = parse_tree(g, _read(args.tree1))
-    t2 = parse_tree(g, _read(args.tree2))
-    w = parse_weights(g, _read(args.weights)) if args.weights else None
+    g = parse_graph(_read_text(args.graph))
+    t1 = parse_tree(g, _read_text(args.tree1))
+    t2 = parse_tree(g, _read_text(args.tree2))
+    w = parse_weights(g, _read_text(args.weights)) if args.weights else None
     if w is not None:
         seq = weighted_shortest_path(g, w, t1, t2, node_budget=args.node_budget)
         d = moves_weight(seq.moves, w)
@@ -80,7 +73,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_diameter(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(_read_text(args.graph))
     start = time.monotonic()
     _, adj = explicit_flip_graph(g, cap=args.node_budget)
     d = adjacency_diameter(adj)
@@ -91,7 +84,7 @@ def cmd_diameter(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(_read_text(args.graph))
     if args.dot:
         print(flip_graph_dot(g, cap=args.node_budget), end="")
         return 0
@@ -101,7 +94,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(_read_text(args.graph))
     oracle = GraphAssocRank(g)
     val = oracle.rank(args.labels)
     _emit(args, {"rank": str(val)}, str(val))
@@ -109,7 +102,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_reduce_cut(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(_read_text(args.graph))
     inst = build_weighted_instance(
         g, args.s, args.t, N=args.N, node_budget=args.node_budget
     )
@@ -134,10 +127,10 @@ def cmd_reduce_cut(args) -> int:
 
 
 def cmd_reduce_blowup(args) -> int:
-    g = parse_graph(_read(args.graph))
-    w = parse_weights(g, _read(args.weights_file))
-    t1 = parse_tree(g, _read(args.tree1))
-    t2 = parse_tree(g, _read(args.tree2))
+    g = parse_graph(_read_text(args.graph))
+    w = parse_weights(g, _read_text(args.weights_file))
+    t1 = parse_tree(g, _read_text(args.tree1))
+    t2 = parse_tree(g, _read_text(args.tree2))
     inst = build_unweighted_instance(g, w, t1, t2, node_budget=args.node_budget)
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar)
     payload = {"vertices": inst.graph.n, "edges": inst.graph.m}
@@ -163,8 +156,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    g = parse_graph(_read(args.graph))
-    t = parse_tree(g, _read(args.tree))
+    g = parse_graph(_read_text(args.graph))
+    t = parse_tree(g, _read_text(args.tree))
     print(format_tree(project(g, t, args.labels)), end="")
     return 0
 

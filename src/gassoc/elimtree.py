@@ -8,6 +8,7 @@ G-associahedron.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -23,8 +24,6 @@ __all__ = [
     "project",
     "parse_tree",
     "format_tree",
-    "parse_ordering",
-    "format_ordering",
 ]
 
 
@@ -132,19 +131,6 @@ class ElimTree:
             out.append(self.graph.labels[i])
         return frozenset(out)
 
-    def descendants(self, label: str) -> frozenset[str]:
-        """Strict descendants of ``label``."""
-        i = self.graph.index(label)
-        return self.graph.labels_from_mask(self.subtree_mask(i) & ~(1 << i))
-
-    def comparable(self, a: str, b: str) -> bool:
-        ia, ib = self.graph.index(a), self.graph.index(b)
-        if ia == ib:
-            raise InvalidArgument("comparability is defined for distinct vertices")
-        return bool(
-            self.subtree_mask(ia) >> ib & 1 or self.subtree_mask(ib) >> ia & 1
-        )
-
     # -- moves ----------------------------------------------------------
 
     def enumerate_swaps(self) -> list[SwapMove]:
@@ -187,16 +173,12 @@ class ElimTree:
 
     def to_ordering(self) -> tuple[str, ...]:
         """A deterministic linear extension (smallest available index first)."""
-        import heapq
-
         out = []
         ready = [self.root]
-        heapq.heapify(ready)
-        remaining_children = {i: list(self.children[i]) for i in range(self.graph.n)}
         while ready:
             v = heapq.heappop(ready)
             out.append(self.graph.labels[v])
-            for c in remaining_children[v]:
+            for c in self.children[v]:
                 heapq.heappush(ready, c)
         return tuple(out)
 
@@ -369,13 +351,3 @@ def format_tree(t: ElimTree) -> str:
         lines.append(f"{lab} {'-' if p < 0 else g.labels[p]}")
     return "\n".join(lines) + "\n"
 
-
-def parse_ordering(g: Graph, text: str) -> tuple[str, ...]:
-    labels = text.split()
-    for lab in labels:
-        g.index(lab)
-    return tuple(labels)
-
-
-def format_ordering(sigma: Sequence[str]) -> str:
-    return " ".join(sigma) + "\n"

@@ -10,7 +10,7 @@ class IllegalMove(InvalidArgument):
 
 
 class ParseError(ValueError):
-    """A text input (graph, tree, ordering, weights) could not be parsed."""
+    """A text input (graph, tree, weights, bundle) could not be parsed."""
 
 
 class ResourceLimit(RuntimeError):

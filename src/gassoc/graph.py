@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgument, ParseError
@@ -89,9 +90,6 @@ class Graph:
             m |= 1 << self.index(lab)
         return m
 
-    def labels_from_mask(self, mask: int) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in iter_bits(mask))
-
     def has_edge(self, a: str, b: str) -> bool:
         return bool(self.adj[self.index(a)] >> self.index(b) & 1)
 
@@ -132,18 +130,13 @@ class Graph:
 def connected_components(g: Graph, removed: Iterable[str] = ()) -> list[frozenset[str]]:
     """Components of ``g`` after deleting ``removed``, ordered by smallest
     remaining vertex in insertion order."""
-    allowed = g.full_mask & ~g.mask(removed)
-    return [g.labels_from_mask(c) for c in g.component_masks(allowed)]
+    comps = g.component_masks(g.full_mask & ~g.mask(removed))
+    return [frozenset(g.labels[i] for i in iter_bits(c)) for c in comps]
 
 
 def nontrivial_components(g: Graph, removed: Iterable[str] = ()) -> list[frozenset[str]]:
     """Components of size at least 2 after deleting ``removed``."""
-    allowed = g.full_mask & ~g.mask(removed)
-    return [
-        g.labels_from_mask(c)
-        for c in g.component_masks(allowed)
-        if c.bit_count() >= 2
-    ]
+    return [c for c in connected_components(g, removed) if len(c) >= 2]
 
 
 def induced_subgraph(g: Graph, u: Iterable[str]) -> Graph:
@@ -220,6 +213,14 @@ def balanced_min_cut_exists(
         if len(cut_edges(g, (s, *chosen))) == lam:
             return True, frozenset((s, *chosen))
     return False, None
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of a file; an unreadable or non-UTF-8 file raises ParseError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _content_lines(text: str) -> Iterator[str]:

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
     ElimTree, SwapMove, _Projector, _root_first, format_tree, parse_tree
 )
-from .errors import IllegalMove, InvalidArgument, ResourceLimit
+from .errors import IllegalMove, InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence, validate_sequence
 from .graph import (
     Graph,
+    _read_text,
     check_weights,
     cut_edges,
     format_graph,
@@ -145,13 +147,6 @@ def build_weighted_instance(
     v_copy = [f"v':{v}" for v in inner] + [f"v':{s}", f"v':{t}"]
     vertices = v_orig + s_cl + t_cl + u_sub + v_copy
 
-    def expand(v: str) -> list[str]:
-        if v == s:
-            return s_cl
-        if v == t:
-            return t_cl
-        return [f"v:{v}"]
-
     edges: list[tuple[str, str]] = []
     for i, (a, b) in enumerate(g.edges, start=1):
         ue = f"u:{i}"
@@ -166,9 +161,7 @@ def build_weighted_instance(
             elif end == t:
                 edges.extend((ti, ue) for ti in t_cl)
     for clique in (s_cl, t_cl):
-        for i in range(k):
-            for j in range(i + 1, k):
-                edges.append((clique[i], clique[j]))
+        edges.extend(combinations(clique, 2))
 
     h = Graph(vertices, edges)
     weights = {lab: N for lab in v_orig}
@@ -296,14 +289,9 @@ def build_unweighted_instance(
     vertices = [c for v in g.labels for c in copy_map[v]]
     edges: list[tuple[str, str]] = []
     for v in g.labels:
-        copies = copy_map[v]
-        for i in range(len(copies)):
-            for j in range(i + 1, len(copies)):
-                edges.append((copies[i], copies[j]))
+        edges.extend(combinations(copy_map[v], 2))
     for a, b in g.edges:
-        for ca in copy_map[a]:
-            for cb in copy_map[b]:
-                edges.append((ca, cb))
+        edges.extend(product(copy_map[a], copy_map[b]))
     inst = BlowupInstance(
         graph=Graph(vertices, edges),
         t_ini=t_ini,
@@ -452,21 +440,25 @@ def _write_fresh(path: Path, text: str) -> None:
 
 
 def read_bundle(path: str | Path) -> dict:
+    """Read an instance bundle; a bad or unreadable file raises ParseError."""
     d = Path(path)
-    graph = parse_graph((d / "graph.txt").read_text())
+    graph = parse_graph(_read_text(d / "graph.txt"))
     out: dict = {
         "graph": graph,
-        "t_ini": parse_tree(graph, (d / "t_ini.tree").read_text()),
-        "t_tar": parse_tree(graph, (d / "t_tar.tree").read_text()),
+        "t_ini": parse_tree(graph, _read_text(d / "t_ini.tree")),
+        "t_tar": parse_tree(graph, _read_text(d / "t_tar.tree")),
         "weights": None,
         "meta": None,
     }
     wfile = d / "weights.txt"
     if wfile.exists():
-        out["weights"] = parse_weights(graph, wfile.read_text())
+        out["weights"] = parse_weights(graph, _read_text(wfile))
     mfile = d / "meta.json"
     if mfile.exists():
-        out["meta"] = json.loads(mfile.read_text())
+        try:
+            out["meta"] = json.loads(_read_text(mfile))
+        except ValueError as exc:
+            raise ParseError(f"bad {mfile}: {exc}") from None
     return out
 
 

@@ -41,7 +41,6 @@ class SuiteReport:
     suite: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,6 @@
 """Reduction instance builders, sufficiency sequence, blow-up machinery."""
 
+import hashlib
 import os
 import random
 from itertools import combinations, product
@@ -16,7 +17,7 @@ from gassoc.flipgraph import (
     weighted_distance,
     weighted_length,
 )
-from gassoc.graph import Graph
+from gassoc.graph import Graph, format_graph
 from gassoc.reductions import (
     blowup_tree,
     build_unweighted_instance,
@@ -319,6 +320,75 @@ def test_read_bundle_rejects_bad_weight_value(tmp_path):
     wfile.write_text(wfile.read_text().replace(" 2\n", " two\n", 1))
     with pytest.raises(ParseError):
         read_bundle(tmp_path / "b")
+
+
+def _written_bundle(path):
+    inst = build_weighted_instance(path_source(), "s", "t", N=2)
+    write_bundle(path, inst.graph, inst.t_ini, inst.t_tar,
+                 weights=inst.weights, meta=instance_meta(inst))
+    return path
+
+
+def test_read_bundle_rejects_file_that_is_not_utf8(tmp_path):
+    wfile = _written_bundle(tmp_path / "b") / "weights.txt"
+    wfile.write_bytes(b"\xff\xfe" + wfile.read_bytes())
+    with pytest.raises(ParseError, match="cannot read"):
+        read_bundle(tmp_path / "b")
+
+
+def test_read_bundle_rejects_meta_that_is_not_json(tmp_path):
+    (_written_bundle(tmp_path / "b") / "meta.json").write_text('{"n": 1,\n')
+    with pytest.raises(ParseError, match="meta.json"):
+        read_bundle(tmp_path / "b")
+
+
+def test_read_bundle_rejects_missing_graph(tmp_path):
+    (_written_bundle(tmp_path / "b") / "graph.txt").unlink()
+    with pytest.raises(ParseError, match="cannot read"):
+        read_bundle(tmp_path / "b")
+
+
+# sha256 of format_graph(inst.graph): the vertex and edge order of a bundle.
+WEIGHTED_GRAPH_SHA256 = {
+    ("path", 2): "1fc9263f0346f400516f25e47aa601faf0809a20a71ba7734fb20af2da579053",
+    ("path", 3): "dd58e1b34fb78d59486af5195ec04040d909e52b628ab0a9ffcbbb590a271f6e",
+    ("path", 4): "5d7bd5277b2b935cc2dde1e862f8a6979469eca679c368d6b94aefe38d070d9d",
+    ("cycle", 2): "ecd1e9bc16b4e9865f2a392d5991e01f93bd833f93914922bb25ef4e91c35fa8",
+    ("cycle", 3): "2703c63e8b0477eda10ab09442dc1de49fc1f3c5045fb5e28d5e574def0554a0",
+    ("cycle", 4): "c0bd867b67febf09c4727fe552d8f135e82c4de3746749b2cdde49b373b157fa",
+}
+
+
+def _graph_sha256(g):
+    return hashlib.sha256(format_graph(g).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, N", sorted(WEIGHTED_GRAPH_SHA256))
+def test_weighted_instance_bytes_are_pinned(name, N):
+    source = {"path": path_source, "cycle": cycle_source}[name]()
+    inst = build_weighted_instance(source, "s", "t", N=N)
+    assert _graph_sha256(inst.graph) == WEIGHTED_GRAPH_SHA256[name, N]
+
+
+def test_blowup_instance_bytes_are_pinned():
+    g = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    inst = build_unweighted_instance(
+        g, {"1": 2, "2": 3, "3": 1},
+        ElimTree.from_ordering(g, ["1", "2", "3"]),
+        ElimTree.from_ordering(g, ["3", "2", "1"]),
+    )
+    assert _graph_sha256(inst.graph) == (
+        "f79543418e6e8b92de9bfc28e5b5d839e89d357b4d3d8d9ce8cccb8bc15bb3bb"
+    )
+    g = cycle_source()
+    inst = build_unweighted_instance(
+        g, {"s": 3, "v1": 1, "t": 2, "v2": 4},
+        ElimTree.from_ordering(g, ["s", "v1", "t", "v2"]),
+        ElimTree.from_ordering(g, ["v2", "t", "v1", "s"]),
+    )
+    assert _graph_sha256(inst.graph) == (
+        "d11488a53f124a7a68d7eb4f8b096cb1c8b10f6f0c6894b59e68ce70e290f4af"
+    )
 
 
 def test_blowup_distance_equivalence_spot():
