@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove, swap_neighbors
+from .elimtree import ElimTree, SwapMove, is_valid, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .graph import Graph, check_weights
 
@@ -49,8 +49,11 @@ class ReconfigSequence:
 def validate_sequence(g: Graph, seq: ReconfigSequence) -> tuple[bool, ElimTree]:
     """Replay the moves; returns (all moves legal, final tree reached).
 
-    On an illegal move the tree last reached is returned with ``False``.
+    On an illegal move the tree last reached is returned with ``False``;
+    a start tree that is not an elimination tree of ``g`` raises.
     """
+    if not is_valid(g, seq.start):
+        raise InvalidArgument("not an elimination tree of the given graph")
     tree = seq.start
     for move in seq.moves:
         try:
@@ -78,11 +81,6 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
     return explicit_flip_graph(g, cap)[0]
 
 
-def _check_pair(g: Graph, t1: ElimTree, t2: ElimTree) -> None:
-    if t1.graph.labels != g.labels or t2.graph.labels != g.labels:
-        raise InvalidArgument("trees do not belong to the given graph")
-
-
 def _budgeted_expand(g: Graph, node_budget: int):
     """The swap kernel on ``g``, counting the states it expands against the
     node budget."""
@@ -102,7 +100,8 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
     frontier one whole level at a time. Returns the distance d, the maps
     from key to distance of the searches from t1 and from t2, and the
     parent tuples, by key, of the trees where the two met."""
-    _check_pair(g, t1, t2)
+    if not (is_valid(g, t1) and is_valid(g, t2)):
+        raise InvalidArgument("not an elimination tree of the given graph")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     dist = ({k1: 0}, {k2: 0})
     if k1 == k2:
@@ -199,7 +198,8 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence (uniform-cost search with
     predecessors; ties broken by canonical key through the heap order)."""
-    _check_pair(g, t1, t2)
+    if not (is_valid(g, t1) and is_valid(g, t2)):
+        raise InvalidArgument("not an elimination tree of the given graph")
     check_weights(g, w)
     expand = _budgeted_expand(g, node_budget)
     labs = g.labels

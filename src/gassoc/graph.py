@@ -195,18 +195,16 @@ def min_st_cut_value(g: Graph, s: str, t: str) -> int:
         flow += 1
 
 
-def balanced_min_cut_exists(
-    g: Graph, s: str, t: str, max_vertices: int = 20
-) -> tuple[bool, frozenset[str] | None]:
+def balanced_min_cut_exists(g: Graph, s: str, t: str) -> tuple[bool, frozenset[str] | None]:
     """Brute-force search for a minimum s-t cut X with |X| = |V|/2.
 
-    Exponential oracle, guarded by ``max_vertices``. Returns a witness in
+    Exponential oracle, refused above 20 vertices. Returns a witness in
     deterministic (index) order if one exists.
     """
     if g.n % 2 != 0:
         raise InvalidArgument("|V| must be even")
-    if g.n > max_vertices:
-        raise InvalidArgument(f"brute-force cap exceeded: {g.n} > {max_vertices}")
+    if g.n > 20:
+        raise InvalidArgument(f"brute-force cap exceeded: {g.n} > 20")
     lam = min_st_cut_value(g, s, t)
     others = [lab for lab in g.labels if lab not in (s, t)]
     for chosen in combinations(others, g.n // 2 - 1):
@@ -255,6 +253,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"bad header {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise ParseError(f"negative count in header {lines[0]!r}")
     if len(lines) != 1 + n + m:
         raise ParseError(f"expected {1 + n + m} lines, got {len(lines)}")
     vertices = lines[1 : 1 + n]

@@ -59,10 +59,11 @@ class GraphAssocRank(RankOracle):
         self._total = 3 ** (g.n - 2)
         self._memo: dict[int, int] = {}
 
-    def rank_mask(self, xmask: int) -> int:
+    def rank(self, subset: Iterable[str]) -> int:
+        g = self.graph
+        xmask = g.mask(subset)
         val = self._memo.get(xmask)
         if val is None:
-            g = self.graph
             val = self._total
             for comp in g.component_masks(g.full_mask & ~xmask):
                 size = comp.bit_count()
@@ -70,9 +71,6 @@ class GraphAssocRank(RankOracle):
                     val -= 3 ** (size - 2)
             self._memo[xmask] = val
         return val
-
-    def rank(self, subset: Iterable[str]) -> int:
-        return self.rank_mask(self.graph.mask(subset))
 
 
 class TableRank(RankOracle):
@@ -104,7 +102,7 @@ class AxiomReport:
         return not self.violations
 
 
-def check_axioms(oracle: RankOracle, cap: int = 12) -> AxiomReport:
+def check_axioms(oracle: RankOracle) -> AxiomReport:
     """Exhaustively test normalization, monotonicity, and submodularity.
 
     Monotonicity is checked through single-element extensions and
@@ -114,8 +112,8 @@ def check_axioms(oracle: RankOracle, cap: int = 12) -> AxiomReport:
     """
     ground = list(oracle.ground)
     n = len(ground)
-    if n > cap:
-        raise ResourceLimit(f"ground set too large: {n} > {cap}")
+    if n > 12:
+        raise ResourceLimit(f"ground set too large: {n} > 12")
     report = AxiomReport(ground_size=n)
     ranks: dict[int, int] = {}
     for mask in range(1 << n):
@@ -176,13 +174,13 @@ def devadoss_coordinates(g: Graph, t: ElimTree) -> dict[str, int]:
     }
 
 
-def membership(oracle: RankOracle, x: Mapping[str, int], cap: int = 20) -> bool:
+def membership(oracle: RankOracle, x: Mapping[str, int]) -> bool:
     """Exhaustive test of x in B(rank): x(X) <= rank(X) for all X, with
     equality on the full ground set."""
     ground = list(oracle.ground)
     n = len(ground)
-    if n > cap:
-        raise ResourceLimit(f"ground set too large: {n} > {cap}")
+    if n > 20:
+        raise ResourceLimit(f"ground set too large: {n} > 20")
     vals = [x[lab] for lab in ground]
     for mask in range(1 << n):
         total = sum(vals[i] for i in iter_bits(mask))
@@ -205,7 +203,7 @@ class RealizationReport:
         return all(self.checks.values())
 
 
-def verify_realization(g: Graph, ordering_cap: int = 8) -> RealizationReport:
+def verify_realization(g: Graph) -> RealizationReport:
     """Cross-check the two vertex descriptions of the G-associahedron:
 
     (a) greedy points over all orderings coincide with the tree coordinates,
@@ -214,8 +212,8 @@ def verify_realization(g: Graph, ordering_cap: int = 8) -> RealizationReport:
     (d) swap-adjacent coordinate differences live on the swapped pair
         and sum to zero.
     """
-    if g.n > ordering_cap:
-        raise ResourceLimit(f"too many orderings: {g.n}! with n > {ordering_cap}")
+    if g.n > 8:
+        raise ResourceLimit(f"too many orderings: {g.n}! with n > 8")
     oracle = GraphAssocRank(g)
     trees = enumerate_all(g)
     tree_points = {t.canonical_key(): devadoss_coordinates(g, t) for t in trees}

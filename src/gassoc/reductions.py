@@ -346,15 +346,14 @@ def canonicalize_sequence(
 ) -> ReconfigSequence:
     """Remove swaps between two copies of the same source vertex.
 
-    Copies of a vertex are pairwise adjacent, hence comparable in every
-    elimination tree, and swapping two of them amounts to exchanging
-    their names when the parent copy has no other subtree at that
-    moment. In that case the swap is dropped and the rest of the
-    sequence is relabeled by the transposition; the result replays to
-    the original final tree up to renaming copies, with all projections
-    onto copy selections preserved modulo the same renaming. A swap that
-    would reshuffle subtrees between the two copies is not removable and
-    raises InvalidArgument.
+    Copies of a vertex are twins: pairwise adjacent, with the same other
+    neighbours. Each child subtree of a parent copy a touches a, hence
+    also a's twin b, so it is b's own subtree: b is a's only child, and
+    swapping the two only exchanges their names. The swap is dropped and
+    the rest of the sequence is relabeled by the transposition; the
+    result replays to the original final tree up to renaming copies, with
+    all projections onto copy selections preserved modulo the same
+    renaming.
     """
     relabel = {lab: lab for lab in inst.graph.labels}
     tree = seq_prime.start
@@ -364,10 +363,6 @@ def canonicalize_sequence(
         if inst.source_of(mv.u) == inst.source_of(mv.v):
             if tree.parent_of(b) != a:
                 raise IllegalMove(f"{mv.v!r} is not a child of {mv.u!r}")
-            if tree.children_of(a) != (b,):
-                raise InvalidArgument(
-                    f"intra-clique swap {mv} reshuffles subtrees; not removable"
-                )
             relabel[mv.u], relabel[mv.v] = relabel[mv.v], relabel[mv.u]
             continue
         mvc = SwapMove(a, b)
@@ -422,7 +417,6 @@ def write_bundle(
 ) -> None:
     """Write the on-disk instance bundle (graph, trees, weights, meta)."""
     d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
     _write_fresh(d / "graph.txt", format_graph(graph))
     _write_fresh(d / "t_ini.tree", format_tree(t_ini))
     _write_fresh(d / "t_tar.tree", format_tree(t_tar))
@@ -433,10 +427,16 @@ def write_bundle(
 
 
 def _write_fresh(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file. Truncating the old file, or
-    renaming over it, makes ext4 wait until its old contents are on disk."""
-    path.unlink(missing_ok=True)
-    path.write_text(text)
+    """Write ``text`` to ``path`` as a new file, making its directory if
+    need be; an unwritable path raises InvalidArgument. Truncating the old
+    file, or renaming over it, makes ext4 wait until its old contents are
+    on disk."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc}") from None
 
 
 def read_bundle(path: str | Path) -> dict:

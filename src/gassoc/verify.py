@@ -163,11 +163,10 @@ SUITES = {
 # -- helpers for the hardness-instance properties ------------------------
 
 
-def reversal_violations(
-    seq: ReconfigSequence, prefix: str = "u:"
-) -> list[tuple[int, int, str, str]]:
-    """Ancestor-order reversals of subdivision-vertex pairs that happen
-    without any swap of two subdivision vertices in between.
+def reversal_violations(seq: ReconfigSequence) -> list[tuple[int, int, str, str]]:
+    """Ancestor-order reversals of subdivision-vertex pairs (labels
+    ``u:<edge>``) that happen without any swap of two subdivision vertices
+    in between.
 
     Returns (i, j, a, b) tuples: a is an ancestor of b after step i, the
     order is reversed after step j, and no two-subdivision swap occurs in
@@ -177,14 +176,12 @@ def reversal_violations(
     for mv in seq.moves:
         trees.append(trees[-1].apply_swap(mv))
     g = trees[0].graph
-    us = [lab for lab in g.labels if lab.startswith(prefix)]
+    us = [lab for lab in g.labels if lab.startswith("u:")]
     anc = [
         {(a, b) for a in us for b in us if a != b and a in t.ancestors(b)}
         for t in trees
     ]
-    uu_step = [
-        mv.u.startswith(prefix) and mv.v.startswith(prefix) for mv in seq.moves
-    ]
+    uu_step = [mv.u.startswith("u:") and mv.v.startswith("u:") for mv in seq.moves]
     out = []
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):

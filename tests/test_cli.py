@@ -162,6 +162,57 @@ def test_reduce_blowup(files, capsys, tmp_path):
     assert "vertices 5" in out
 
 
+def _unwritable_outdir(tmp_path, case):
+    """An OUTDIR that a bundle cannot be written to, by ``case``."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    if case == "outdir is a file":
+        return blocker
+    if case == "outdir under a file":
+        return blocker / "out"
+    out = tmp_path / "out"
+    (out / case.split()[0]).mkdir(parents=True)  # "<file> is a directory"
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["outdir is a file", "outdir under a file", "graph.txt is a directory",
+     "sufficiency.moves is a directory"],
+)
+def test_reduce_cut_reports_unwritable_outdir(files, capsys, tmp_path, case):
+    g = files("g.txt", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n")
+    outdir = str(_unwritable_outdir(tmp_path, case))
+    code = main(["reduce", "cut", g, "s", "t", outdir, "--N", "2", "--sufficiency", "s,v1"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize(
+    "case", ["outdir is a file", "outdir under a file", "graph.txt is a directory"]
+)
+def test_reduce_blowup_reports_unwritable_outdir(files, capsys, tmp_path, case):
+    g, w = files("g.txt", P3), files("w.txt", "1 2\n2 1\n3 2\n")
+    t = files("t.tree", CHAIN_123)
+    outdir = str(_unwritable_outdir(tmp_path, case))
+    code = main(["reduce", "blowup", g, w, t, t, outdir])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err.startswith("error: cannot write ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--path"], ["--weights", "w"]])
+def test_dist_stops_at_the_node_budget(files, capsys, extra):
+    g = files("g.txt", K3)
+    t1, t2 = files("t1.tree", CHAIN_123), files("t2.tree", CHAIN_321)
+    w = files("w.txt", "1 1\n2 2\n3 1\n")
+    argv = ["--node-budget", "1", "dist", g, t1, t2, *(w if a == "w" else a for a in extra)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("resource limit: node budget 1 exceeded")
+
+
 def test_project_subcommand(files, capsys):
     g = files("g.txt", P3)
     t = files("t.tree", CHAIN_123)
@@ -265,6 +316,9 @@ def test_threads_flag_is_accepted(files, capsys):
         # a second weight line for label 1
         (["dist", "g", "a", "a", "--weights", "w"],
          {"g": P3, "a": CHAIN_123, "w": "1 1\n2 2\n1 5\n3 1\n"}, 2),
+        # negative counts whose line count adds up
+        (["diameter", "g"], {"g": "3 -1\na\nb\n"}, 2),
+        (["enumerate", "g"], {"g": "1 -1\n"}, 2),
     ],
 )
 def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):

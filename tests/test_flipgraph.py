@@ -252,6 +252,48 @@ def test_validate_sequence_flags_illegal():
     assert final.canonical_key() == t.canonical_key()
 
 
+def test_searches_reject_a_tree_that_is_not_an_elimination_tree():
+    # The chain 2 -> 1 -> 3 spans P3, but 1-3 is no edge of P3.
+    g = path_graph(3)
+    bad = ElimTree(g, (1, -1, 0))
+    good = ElimTree.from_ordering(g, "123")
+    unit = {lab: 1 for lab in g.labels}
+    searches = [
+        lambda a, b: distance(g, a, b),
+        lambda a, b: shortest_path(g, a, b),
+        lambda a, b: weighted_distance(g, unit, a, b),
+        lambda a, b: weighted_shortest_path(g, unit, a, b),
+    ]
+    for search in searches:
+        for pair in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(InvalidArgument, match="not an elimination tree"):
+                search(*pair)
+
+
+def test_validate_sequence_rejects_a_start_tree_of_another_graph():
+    other = path_graph(8)
+    t = ElimTree.from_ordering(other, other.labels)
+    with pytest.raises(InvalidArgument, match="not an elimination tree"):
+        validate_sequence(path_graph(3), ReconfigSequence(t, ()))
+    with pytest.raises(InvalidArgument, match="not an elimination tree"):
+        weighted_length(ReconfigSequence(ElimTree(path_graph(3), (1, -1, 0)), ()), {})
+
+
+def test_searches_stop_at_the_node_budget():
+    g = complete_graph(3)
+    t1 = ElimTree.from_ordering(g, "123")
+    t2 = ElimTree.from_ordering(g, "321")
+    unit = {lab: 1 for lab in g.labels}
+    searches = [
+        lambda: distance(g, t1, t2, node_budget=1),
+        lambda: shortest_path(g, t1, t2, node_budget=1),
+        lambda: weighted_shortest_path(g, unit, t1, t2, node_budget=1),
+    ]
+    for search in searches:
+        with pytest.raises(ResourceLimit, match="node budget 1 exceeded"):
+            search()
+
+
 @pytest.mark.parametrize(
     "builder,expected",
     [

@@ -106,6 +106,13 @@ def test_parse_errors():
         parse_graph("2 1\na\nb\na z")
 
 
+@pytest.mark.parametrize("text", ["3 -1\na\nb\n", "1 -1\n"])
+def test_parse_rejects_negative_counts(text):
+    # The line count adds up, but a count below zero is malformed.
+    with pytest.raises(ParseError, match="negative count"):
+        parse_graph(text)
+
+
 P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 

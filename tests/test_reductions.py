@@ -18,6 +18,7 @@ from gassoc.flipgraph import (
     weighted_length,
 )
 from gassoc.graph import Graph, format_graph
+from gassoc.smallgraphs import connected_graphs_up_to_iso
 from gassoc.reductions import (
     blowup_tree,
     build_unweighted_instance,
@@ -279,6 +280,30 @@ def test_canonicalize_removes_intra_clique_swaps():
     ok, _ = validate_sequence(inst.graph, clean)
     assert ok
     assert len(clean.moves) <= len(walk.moves)
+
+
+def test_intra_clique_swap_parent_has_one_child():
+    # Copies of a vertex are twins, so at every legal swap of two copies the
+    # child copy is the parent copy's only child: the reason
+    # canonicalize_sequence can drop every such swap.
+    rng = random.Random(5)
+    swaps = 0
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            for _ in range(3):
+                w = {lab: rng.randint(1, 3) for lab in g.labels}
+                if sum(w.values()) == 1:
+                    continue  # one vertex, no swap
+                base = ElimTree.from_ordering(g, g.labels)
+                inst = build_unweighted_instance(g, w, base, base)
+                tree = inst.t_ini
+                for _ in range(100):
+                    mv = rng.choice(tree.enumerate_swaps())
+                    if inst.source_of(mv.u) == inst.source_of(mv.v):
+                        swaps += 1
+                        assert tree.children_of(mv.u) == (mv.v,)
+                    tree = tree.apply_swap(mv)
+    assert swaps >= 500
 
 
 def test_bundle_round_trip(tmp_path):
