@@ -106,13 +106,13 @@ def cmd_reduce_cut(args) -> int:
     inst = build_weighted_instance(
         g, args.s, args.t, N=args.N, node_budget=args.node_budget
     )
+    # Built before the bundle is written, so a rejected X leaves OUTDIR as it was.
+    seq = sufficiency_sequence(inst, args.sufficiency.split(",")) if args.sufficiency else None
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar, weights=inst.weights,
                  meta=instance_meta(inst))
     lines = [f"lambda {inst.cut_value}", f"threshold {threshold(inst)}"]
     payload = {"lambda": inst.cut_value, "threshold": str(threshold(inst))}
-    if args.sufficiency:
-        x = args.sufficiency.split(",")
-        seq = sufficiency_sequence(inst, x)
+    if seq is not None:
         # Built move by move through apply_swap, which rejects an illegal
         # move, so the sequence needs no second replay.
         weight = moves_weight(seq.moves, inst.weights)

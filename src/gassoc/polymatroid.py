@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, swap_neighbors
+from .elimtree import ElimTree
 from .errors import InvalidArgument, ResourceLimit
-from .flipgraph import enumerate_all
+from .flipgraph import explicit_flip_graph
 from .graph import Graph, iter_bits
 
 __all__ = [
@@ -203,47 +203,48 @@ class RealizationReport:
         return all(self.checks.values())
 
 
+def _greedy_skeleton(oracle: RankOracle) -> tuple[dict, set]:
+    """The greedy point of every ordering of the ground set (coordinates in
+    ground order), and the pairs of distinct greedy points of two orderings
+    one adjacent transposition apart. For a polymatroid these pairs are the
+    edges of the base polytope (Topkis, "Paths on polymatroids", 1992)."""
+    points = {}
+    for sigma in permutations(oracle.ground):
+        point = greedy_extreme_point(oracle, sigma)
+        points[sigma] = tuple(point[lab] for lab in oracle.ground)
+    pairs = (
+        frozenset((point, points[s[:i] + (s[i + 1], s[i]) + s[i + 2:]]))
+        for s, point in points.items() for i in range(len(s) - 1)
+    )
+    return points, {pair for pair in pairs if len(pair) == 2}
+
+
 def verify_realization(g: Graph) -> RealizationReport:
-    """Cross-check the two vertex descriptions of the G-associahedron:
+    """Cross-check the two descriptions of the G-associahedron:
 
     (a) greedy points over all orderings coincide with the tree coordinates,
     (b) each ordering's greedy point equals the coordinates of its tree,
     (c) distinct trees have distinct coordinates,
-    (d) swap-adjacent coordinate differences live on the swapped pair
-        and sum to zero.
+    (d) the swaps, mapped through the tree coordinates, are exactly the
+        edges of the greedy skeleton (built from the rank oracle alone), so
+        the flip graph is the 1-skeleton of the base polytope.
     """
     if g.n > 8:
         raise ResourceLimit(f"too many orderings: {g.n}! with n > 8")
-    oracle = GraphAssocRank(g)
-    trees = enumerate_all(g)
-    tree_points = {t.canonical_key(): devadoss_coordinates(g, t) for t in trees}
-    point_set = {tuple(p[lab] for lab in g.labels) for p in tree_points.values()}
-
-    compat = True
-    greedy_set = set()
-    for sigma in permutations(g.labels):
-        point = greedy_extreme_point(oracle, sigma)
-        greedy_set.add(tuple(point[lab] for lab in g.labels))
-        t = ElimTree.from_ordering(g, sigma)
-        if point != tree_points[t.canonical_key()]:
-            compat = False
-
-    swap_support = True
-    for t in trees:
-        pt = tree_points[t.canonical_key()]
-        for u, v, _, key in swap_neighbors(g.adj, t.parent):
-            pn = tree_points[key]
-            diff = {lab: pn[lab] - pt[lab] for lab in g.labels}
-            if sum(diff.values()) != 0:
-                swap_support = False
-            swapped = (g.labels[u], g.labels[v])
-            if any(d != 0 for lab, d in diff.items() if lab not in swapped):
-                swap_support = False
-
+    trees, adj = explicit_flip_graph(g)
+    ids = {t.canonical_key(): i for i, t in enumerate(trees)}
+    coords = [tuple(devadoss_coordinates(g, t).values()) for t in trees]  # label order
+    greedy, skeleton = _greedy_skeleton(GraphAssocRank(g))
+    compat = all(
+        point == coords[ids[ElimTree.from_ordering(g, sigma).canonical_key()]]
+        for sigma, point in greedy.items()
+    )
+    point_set = set(coords)
+    flips = {frozenset((coords[i], coords[j])) for i, row in enumerate(adj) for j in row}
     checks = {
         "compat": compat,
-        "cover": greedy_set == point_set,
+        "cover": set(greedy.values()) == point_set,
         "injective": len(point_set) == len(trees),
-        "swap_support": swap_support,
+        "skeleton": flips == skeleton,
     }
     return RealizationReport(trees=len(trees), points=len(point_set), checks=checks)

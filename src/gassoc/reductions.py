@@ -374,23 +374,20 @@ def canonicalize_sequence(
 def project_sequence(
     inst: BlowupInstance, seq_prime: ReconfigSequence, phi: Mapping[str, int]
 ) -> ReconfigSequence:
-    """Project a blow-up sequence to the copy selection phi, dropping
-    steps whose projection does not move. The input must not swap two
-    copies of the same source vertex (canonicalize first)."""
+    """Project a blow-up walk to the copy selection phi, dropping steps
+    whose projection does not move. Raw walks are accepted: a swap of two
+    copies of one vertex only exchanges twins (the child copy is the parent
+    copy's only child), so it never moves a projection and is dropped."""
     g = inst.source
     for v in g.labels:
         if not 1 <= phi.get(v, 0) <= inst.weights[v]:
             raise InvalidArgument(f"phi({v!r}) is missing or out of range")
-    for mv in seq_prime.moves:
-        if inst.source_of(mv.u) == inst.source_of(mv.v):
-            raise InvalidArgument("intra-clique swap present; canonicalize first")
     # The blow-up lists the copies in source vertex order, so U's own
     # indices are the source indices and T'|_U is a parent tuple over G.
     gp = inst.graph
     proj = _Projector(gp.adj, gp.mask(inst.copy_map[v][phi[v] - 1] for v in g.labels))
     tree_prime = seq_prime.start
-    tree = ElimTree(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
-    start = tree
+    start = tree = ElimTree(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         tree_prime = tree_prime.apply_swap(mv)

@@ -10,18 +10,19 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .elimtree import (
-    ElimTree, SwapMove, _children, _Projector, _root_first, swap_neighbors
-)
+from .elimtree import ElimTree, SwapMove, _Projector, _root_first, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
     bfs_distances,
     enumerate_all,
     explicit_flip_graph,
+    moves_weight,
     weighted_distance,
 )
 from .polymatroid import GraphAssocRank, check_axioms, verify_realization
-from .reductions import BlowupInstance, blowup_tree, build_unweighted_instance
+from .reductions import (
+    BlowupInstance, blowup_tree, build_unweighted_instance, project_sequence
+)
 from .smallgraphs import connected_graphs_up_to_iso, random_connected_graph
 
 __all__ = [
@@ -91,19 +92,22 @@ def verify_projection_suite(max_n: int = 5) -> SuiteReport:
                 for mask in range(1, g.full_mask + 1)
                 if g.component_of((mask & -mask).bit_length() - 1, mask) == mask
             ]
-            for t in enumerate_all(g):
-                before = [p(_root_first(t.parent, t.children)) for p in projs]
+            trees = enumerate_all(g)
+            # Every tree's images, by key, so that a swap looks up its neighbour's.
+            images = {
+                t.canonical_key(): [p(_root_first(t.parent, t.children)) for p in projs]
+                for t in trees
+            }
+            for t, before in zip(trees, images.values()):
                 # The swap kernel on G[U], not the projection, says what
                 # swap(u, v) does to T|_U (for u, v both in U).
                 swaps = [
                     {q[:3] for q in swap_neighbors(p.adj, p1)}
                     for p, p1 in zip(projs, before)
                 ]
-                for u, v, nb, _ in swap_neighbors(g.adj, t.parent):
-                    order = _root_first(nb, _children(nb))
-                    for p, p1, p_swaps in zip(projs, before, swaps):
+                for u, v, _, key in swap_neighbors(g.adj, t.parent):
+                    for p, p1, p2, p_swaps in zip(projs, before, images[key], swaps):
                         report.checked += 1
-                        p2 = p(order)
                         if p2 == p1 or (p.index.get(u), p.index.get(v), p2) in p_swaps:
                             continue
                         report.failures.append(
@@ -196,25 +200,12 @@ def reversal_violations(seq: ReconfigSequence) -> list[tuple[int, int, str, str]
 def averaging_inequality_holds(
     inst: BlowupInstance, seq_prime: ReconfigSequence
 ) -> bool:
-    """Some copy selection projects the blow-up sequence to a weighted
-    sequence no longer than the blow-up sequence's unweighted length.
-
-    Works directly on the raw sequence: swaps between two copies of the
-    same vertex never change a projection, so no canonicalization is
-    required here.
-    """
-    gp = inst.graph
-    trees = [seq_prime.start]
-    for mv in seq_prime.moves:
-        trees.append(trees[-1].apply_swap(mv))
-    orders = [_root_first(t.parent, t.children) for t in trees]
-    w, src = inst.weights, inst.source_of
-    costs = [w[src(mv.u)] * w[src(mv.v)] for mv in seq_prime.moves]
-
-    def length(copies: tuple[str, ...]) -> int:
-        proj = _Projector(gp.adj, gp.mask(copies))
-        path = [proj(order) for order in orders]
-        return sum(c for c, a, b in zip(costs, path, path[1:]) if a != b)
-
-    selections = product(*(inst.copy_map[v] for v in inst.source.labels))
-    return min(map(length, selections)) <= len(seq_prime.moves)
+    """Some copy selection projects the blow-up walk, raw or canonical (see
+    ``project_sequence``), to a weighted sequence no longer than the walk's
+    unweighted length."""
+    labels = inst.source.labels
+    selections = product(*(range(1, inst.weights[v] + 1) for v in labels))
+    return min(
+        moves_weight(project_sequence(inst, seq_prime, dict(zip(labels, phi))).moves, inst.weights)
+        for phi in selections
+    ) <= len(seq_prime.moves)

@@ -239,11 +239,12 @@ def test_exit_code_semantic_error(files, capsys):
     g = files("g.txt", P3)
     assert main(["rank", g, "zz"]) == 3
     cyc = files("c4.txt", "4 4\ns\nv1\nt\nv2\ns v1\nv1 t\nt v2\nv2 s\n")
-    # X = {s} is not balanced
+    # X = {s} is not balanced; it is rejected before any bundle file is written
+    out = Path(files("d", "") + "_out")
     assert main([
-        "reduce", "cut", cyc, "s", "t", str(files("d", "")) + "_out",
-        "--N", "2", "--sufficiency", "s",
+        "reduce", "cut", cyc, "s", "t", str(out), "--N", "2", "--sufficiency", "s",
     ]) == 3
+    assert list(out.glob("*")) == []
 
 
 def test_exit_code_resource_limit(files, capsys, tmp_path):

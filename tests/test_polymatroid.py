@@ -1,18 +1,21 @@
 """Rank oracle, axiom checking, greedy points, coordinates, membership."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassoc import polymatroid
 from gassoc.elimtree import ElimTree
 from gassoc.errors import InvalidArgument, ResourceLimit
-from gassoc.flipgraph import enumerate_all
+from gassoc.flipgraph import bfs_distances, enumerate_all, explicit_flip_graph
 from gassoc.graph import Graph
 from gassoc.polymatroid import (
     GraphAssocRank,
+    RankOracle,
     TableRank,
+    _greedy_skeleton,
     check_axioms,
     devadoss_coordinates,
     greedy_extreme_point,
@@ -22,6 +25,7 @@ from gassoc.polymatroid import (
 )
 from gassoc.smallgraphs import (
     complete_graph,
+    connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -180,6 +184,72 @@ def test_verify_realization_k3():
     rep = verify_realization(complete_graph(3))
     assert rep.ok
     assert rep.points == 6  # permutahedron vertices
+
+
+def test_verify_realization_n7():
+    # every check, the skeleton included, on 429 to 5,040 trees
+    for g in (path_graph(7), cycle_graph(7), complete_graph(7),
+              random_connected_graph(7, 0.4, 3)):
+        rep = verify_realization(g)
+        assert rep.ok, rep.checks
+
+
+def test_verify_realization_catches_a_missing_flip(monkeypatch):
+    def one_edge_short(g):
+        trees, adj = explicit_flip_graph(g)
+        j = adj[0].pop()
+        adj[j].remove(0)
+        return trees, adj
+
+    monkeypatch.setattr(polymatroid, "explicit_flip_graph", one_edge_short)
+    for g in (path_graph(4), cycle_graph(5), complete_graph(4)):
+        rep = verify_realization(g)
+        assert list(rep.checks) == ["compat", "cover", "injective", "skeleton"]
+        assert [k for k, ok in rep.checks.items() if not ok] == ["skeleton"]
+
+
+class GraphicRank(RankOracle):
+    """The graphic matroid of g: r(F) = n - (components of (V, F))."""
+
+    def __init__(self, g):
+        self.graph = g
+        self.ground = tuple(f"{a}-{b}" for a, b in g.edges)
+        self._edges = dict(zip(self.ground, g.edges))
+        self._memo = {}
+
+    def rank(self, subset):
+        key = frozenset(subset)
+        if key not in self._memo:
+            h = Graph(self.graph.labels, [self._edges[e] for e in key])
+            self._memo[key] = h.n - len(h.component_masks(h.full_mask))
+        return self._memo[key]
+
+
+def test_greedy_skeleton_of_a_graphic_matroid_is_the_base_exchange_graph():
+    # The matroid side of the contrast: on the base polytope of a matroid,
+    # the flip distance of two bases is |B1 \ B2|.
+    checked = 0
+    for n in range(2, 6):
+        for g in connected_graphs_up_to_iso(n):
+            if g.m > 6:
+                continue
+            points, skeleton = _greedy_skeleton(GraphicRank(g))
+            bases = sorted(set(points.values()))
+            forests = (Graph(g.labels, f) for f in combinations(g.edges, n - 1))
+            assert len(bases) == sum(h.is_connected() for h in forests)
+            assert all(set(b) <= {0, 1} and sum(b) == n - 1 for b in bases)
+            ids = {b: i for i, b in enumerate(bases)}
+            adj = [[] for _ in bases]
+            for pair in skeleton:
+                a, b = (ids[p] for p in pair)
+                adj[a].append(b)
+                adj[b].append(a)
+            for i, b1 in enumerate(bases):
+                dist = bfs_distances(adj, i)
+                for j, b2 in enumerate(bases):
+                    assert dist[j] == sum(x > y for x, y in zip(b1, b2))
+                    checked += 1
+    assert checked > 500
 
 
 @settings(max_examples=25, deadline=None)

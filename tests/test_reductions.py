@@ -244,14 +244,17 @@ def test_project_unit_weights_is_identity():
     assert [(m.u, m.v) for m in proj.moves] == [(m.u, m.v) for m in seq.moves]
 
 
-def test_project_rejects_intra_clique_swaps():
+def test_project_drops_intra_clique_swaps():
+    # Swapping two copies of a vertex only exchanges twins, so under every
+    # copy selection the projection stays at the projected start.
     g, w, inst = small_blowup()
     start = blowup_tree(inst, ElimTree.from_ordering(g, g.labels))
-    mv = SwapMove("b:3:1", "b:3:2")
     assert start.parent_of("b:3:2") == "b:3:1"
-    dirty = ReconfigSequence(start, (mv,))
-    with pytest.raises(InvalidArgument):
-        project_sequence(inst, dirty, {"1": 1, "2": 1, "3": 1})
+    walk = ReconfigSequence(start, (SwapMove("b:3:1", "b:3:2"),))
+    for copy in (1, 2, 3):
+        proj = project_sequence(inst, walk, {"1": 1, "2": 1, "3": copy})
+        assert proj.start.parent == ElimTree.from_ordering(g, g.labels).parent
+        assert proj.moves == ()
 
 
 def test_project_rejects_incomplete_copy_selection():

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 from gassoc import verify
 from gassoc.elimtree import ElimTree, _Projector, swap_neighbors
-from gassoc.flipgraph import ReconfigSequence, shortest_path
+from gassoc.flipgraph import ReconfigSequence, enumerate_all, shortest_path
 from gassoc.graph import Graph
 from gassoc.reductions import (
     blowup_tree,
@@ -90,6 +90,31 @@ def assert_reports_failures(report):
     assert not report.ok
     assert report.checked == 4530  # every (tree, swap, U) with n <= 4
     assert all(FAILURE.fullmatch(f) for f in report.failures), report.failures[:3]
+
+
+def test_projection_suite_projects_each_tree_once(monkeypatch):
+    # one projection per (tree, U), plus the one each projector's
+    # connectivity check makes: 1,629 calls for n <= 4
+    calls = []
+
+    class Counting(_Projector):
+        def __call__(self, order):
+            calls.append(1)
+            return super().__call__(order)
+
+    monkeypatch.setattr(verify, "_Projector", Counting)
+    report = verify_projection_suite(max_n=4)
+    assert report.ok and report.checked == 4530
+    trees_times_u = projectors = 0
+    for n in range(2, 5):
+        for g in connected_graphs_up_to_iso(n):
+            u_count = sum(
+                g.component_of((mask & -mask).bit_length() - 1, mask) == mask
+                for mask in range(1, g.full_mask + 1)
+            )
+            trees_times_u += len(enumerate_all(g)) * u_count
+            projectors += u_count
+    assert len(calls) == trees_times_u + projectors == 1629
 
 
 def test_projection_suite_catches_a_wrong_projection(monkeypatch):
