@@ -150,7 +150,7 @@ class ElimTree:
             raise IllegalMove(f"{move.v!r} is not a child of {move.u!r}")
         kids = self.children
         sub = self._all_masks()
-        parent = _swapped(g.adj, self.parent, kids, sub, iu, iv)
+        parent = tuple(_swapped(g.adj, list(self.parent), kids, sub, iu, iv))
         # Only u, v and the old parent of u get new children, and only u
         # and v new subtrees: v takes u's, and u keeps it minus v's, plus
         # the child subtrees of v that move below u.
@@ -168,7 +168,7 @@ class ElimTree:
     def canonical_key(self) -> bytes:
         """Injective byte encoding: the parent array in fixed vertex order."""
         if self._key is None:
-            self._key = array("l", self.parent).tobytes()
+            self._key = _pack(self.parent)
         return self._key
 
     def to_ordering(self) -> tuple[str, ...]:
@@ -198,10 +198,21 @@ class ElimTree:
 
 # -- the swap kernel ----------------------------------------------------
 #
-# A state is a parent tuple over the host's dense indices (-1 at the root).
-# In an elimination tree every edge of G joins an ancestor and a descendant,
-# so a child subtree of v can reach the rest of u's subtree minus v only
-# through u: after swap(u, v) it moves below u iff it touches u.
+# A state is its canonical key: ``_pack`` of the parent array over the host's
+# dense indices (-1 at the root), which ``_unpack`` gives back. In an
+# elimination tree every edge of G joins an ancestor and a descendant, so a
+# child subtree of v can reach the rest of u's subtree minus v only through
+# u: after swap(u, v) it moves below u iff it touches u.
+
+
+def _pack(parent: Iterable[int]) -> bytes:
+    """The canonical key of a parent array."""
+    return array("l", parent).tobytes()
+
+
+def _unpack(key: bytes) -> array:
+    """The parent array of a canonical key."""
+    return array("l", key)
 
 
 def _children(parent: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -230,33 +241,31 @@ def _subtree_masks(parent: Sequence[int], children: Sequence[Sequence[int]]) -> 
     return sub
 
 
-def _swapped(adj, parent, children, sub, u: int, v: int) -> tuple[int, ...]:
-    """The parent tuple after swap(u, v); ``sub[c]`` is the subtree mask of
-    each child c of v."""
-    nb = list(parent)
+def _swapped(adj, parent, children, sub, u: int, v: int):
+    """A copy of the parent list or array after swap(u, v); ``sub[c]`` is
+    the subtree mask of each child c of v."""
+    nb = parent[:]
     nb[v] = parent[u]
     nb[u] = v
     adj_u = adj[u]
     for c in children[v]:
         if sub[c] & adj_u:
             nb[c] = u
-    return tuple(nb)
+    return nb
 
 
-def swap_neighbors(
-    adj: Sequence[int], parent: tuple[int, ...]
-) -> Iterator[tuple[int, int, tuple[int, ...], bytes]]:
-    """Each swap(u, v) of the elimination tree with this parent tuple as
-    (u, v, the parent tuple after it, that tuple's canonical key), in
-    ``enumerate_swaps`` order. Per state, one pass lists the children and
-    one bottom-up pass finds every subtree mask; nothing is re-validated,
-    since a swap of an elimination tree is one by construction."""
+def swap_neighbors(adj: Sequence[int], key: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """Each swap(u, v) of the elimination tree with this canonical key as
+    (u, v, the key after it), in ``enumerate_swaps`` order. Per state, one
+    pass lists the children and one bottom-up pass finds every subtree
+    mask; nothing is re-validated, since a swap of an elimination tree is
+    one by construction."""
+    parent = _unpack(key)
     children = _children(parent)
     sub = _subtree_masks(parent, children)
     for v, u in enumerate(parent):
         if u >= 0:
-            nb = _swapped(adj, parent, children, sub, u, v)
-            yield u, v, nb, array("l", nb).tobytes()
+            yield u, v, _swapped(adj, parent, children, sub, u, v).tobytes()
 
 
 def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:

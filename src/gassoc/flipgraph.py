@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove, is_valid, swap_neighbors
+from .elimtree import ElimTree, SwapMove, _unpack, is_valid, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .graph import Graph, check_weights
 
@@ -73,6 +73,7 @@ def weighted_length(seq: ReconfigSequence, w: Mapping[str, int]) -> int:
     ok, _ = validate_sequence(seq.start.graph, seq)
     if not ok:
         raise InvalidArgument("sequence does not replay to a valid tree")
+    check_weights(seq.start.graph, w)
     return moves_weight(seq.moves, w)
 
 
@@ -87,10 +88,10 @@ def _budgeted_expand(g: Graph, node_budget: int):
     adj = g.adj
     expanded = count(1)
 
-    def expand(parent: tuple[int, ...]):
+    def expand(key: bytes):
         if next(expanded) > node_budget:
             raise ResourceLimit(f"node budget {node_budget} exceeded")
-        return swap_neighbors(adj, parent)
+        return swap_neighbors(adj, key)
 
     return expand
 
@@ -98,15 +99,15 @@ def _budgeted_expand(g: Graph, node_budget: int):
 def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
     """Bidirectional BFS between two trees of ``g``, expanding the smaller
     frontier one whole level at a time. Returns the distance d, the maps
-    from key to distance of the searches from t1 and from t2, and the
-    parent tuples, by key, of the trees where the two met."""
+    from key to distance of the searches from t1 and from t2, and the keys
+    of the trees where the two met."""
     if not (is_valid(g, t1) and is_valid(g, t2)):
         raise InvalidArgument("not an elimination tree of the given graph")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     dist = ({k1: 0}, {k2: 0})
     if k1 == k2:
-        return 0, dist, {k2: t2.parent}
-    frontier = [[t1.parent], [t2.parent]]
+        return 0, dist, [k2]
+    frontier = [[k1], [k2]]
     depth = [0, 0]
     while True:
         if not frontier[0] or not frontier[1]:
@@ -114,15 +115,14 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
         side = 1 if len(frontier[0]) > len(frontier[1]) else 0
         mine, other = dist[side], dist[1 - side]
         level = depth[side] + 1
-        nxt = []
-        meets: dict[bytes, tuple[int, ...]] = {}
-        for parent in frontier[side]:
-            for _, _, nb, key in expand(parent):
-                if key in other:
-                    meets[key] = nb
-                if key not in mine:
-                    mine[key] = level
-                    nxt.append(nb)
+        nxt, meets = [], []
+        for key in frontier[side]:
+            for _, _, nk in expand(key):
+                if nk not in mine:
+                    mine[nk] = level
+                    nxt.append(nk)
+                    if nk in other:
+                        meets.append(nk)
         depth[side] = level
         if meets:
             # Each map held a whole ball and the balls were disjoint, so the
@@ -148,32 +148,29 @@ def shortest_path(
     to t1, as in a BFS from t1 that expands each level in key order.
     """
     expand = _budgeted_expand(g, node_budget)
-    d, (dist1, dist2), meets = _bidirectional_bfs(g, t1, t2, expand)
+    d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, expand)
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
     # find them by descending from the meeting trees (one level of the search
     # from t2) through t2's map: a geodesic tree j steps from t2 is d - j from t1.
     dist1[k2] = d
-    layer = list(meets.values())
-    level = dist2[next(iter(meets))]
+    level = dist2[layer[0]]
     while level > 1:
         level -= 1
         nxt = []
-        for parent in layer:
-            for _, _, nb, key in expand(parent):
-                if dist2.get(key) == level and key not in dist1:
-                    dist1[key] = d - level
-                    nxt.append(nb)
+        for key in layer:
+            for _, _, nk in expand(key):
+                if dist2.get(nk) == level and nk not in dist1:
+                    dist1[nk] = d - level
+                    nxt.append(nk)
         layer = nxt
     labs = g.labels
     moves = []
-    key, parent = k2, t2.parent
+    key = k2
     while key != k1:
         want = dist1[key] - 1
-        key, u, v, parent = min(
-            (nk, u, v, nb) for u, v, nb, nk in expand(parent) if dist1.get(nk) == want
-        )
+        key, u, v = min((nk, u, v) for u, v, nk in expand(key) if dist1.get(nk) == want)
         moves.append(SwapMove(labs[v], labs[u]))
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
@@ -206,11 +203,11 @@ def weighted_shortest_path(
     wi = [w[lab] for lab in labs]
     target = t2.canonical_key()
     start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes, tuple[int, ...]]] = [(0, start_key, t1.parent)]
+    heap: list[tuple[int, bytes]] = [(0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
     pred: dict[bytes, tuple[bytes, int, int]] = {}
     while heap:
-        d, key, parent = heapq.heappop(heap)
+        d, key = heapq.heappop(heap)
         if d > best[key]:
             continue  # a stale entry of a tree already expanded
         if key == target:
@@ -219,12 +216,12 @@ def weighted_shortest_path(
                 key, u, v = pred[key]
                 moves.append(SwapMove(labs[u], labs[v]))
             return ReconfigSequence(t1, tuple(reversed(moves)))
-        for u, v, nb, nk in expand(parent):
+        for u, v, nk in expand(key):
             nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
                 best[nk] = nd
                 pred[nk] = (key, u, v)
-                heapq.heappush(heap, (nd, nk, nb))
+                heapq.heappush(heap, (nd, nk))
     raise AssertionError("flip graph is connected; target must be reached")
 
 
@@ -239,25 +236,23 @@ def explicit_flip_graph(
     One BFS over swaps records every tree's neighbours as it goes; the
     flip graph is connected, so any start tree reaches everything.
     """
-    start = ElimTree.from_ordering(g, g.labels)
-    ids = {start.canonical_key(): 0}
-    states = [start.parent]
+    keys = [ElimTree.from_ordering(g, g.labels).canonical_key()]
+    ids = {keys[0]: 0}
     rows = []
-    for parent in states:  # FIFO: the list grows while it is scanned
+    for key in keys:  # FIFO: the list grows while it is scanned
         row = []
-        for _, _, nb, key in swap_neighbors(g.adj, parent):
-            j = ids.get(key)
+        for _, _, nk in swap_neighbors(g.adj, key):
+            j = ids.get(nk)
             if j is None:
-                if len(states) >= cap:
+                if len(keys) >= cap:
                     raise ResourceLimit(f"enumeration cap {cap} exceeded")
-                j = ids[key] = len(states)
-                states.append(nb)
+                j = ids[nk] = len(keys)
+                keys.append(nk)
             row.append(j)
         rows.append(row)
-    keys = list(ids)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
-    trees = [ElimTree._trusted(g, states[i], key=keys[i]) for i in order]
+    trees = [ElimTree._trusted(g, tuple(_unpack(keys[i])), key=keys[i]) for i in order]
     return trees, [sorted(rank[j] for j in rows[i]) for i in order]
 
 

@@ -50,7 +50,7 @@ class Graph:
         self.labels: tuple[str, ...] = tuple(vertices)
         self._index: dict[str, int] = {}
         for i, lab in enumerate(self.labels):
-            if not lab or any(c.isspace() for c in lab) or lab.startswith("#"):
+            if not lab or any(c.isspace() for c in lab) or "#" in lab or lab == "-":
                 raise InvalidArgument(f"bad vertex label: {lab!r}")
             if lab in self._index:
                 raise InvalidArgument(f"duplicate vertex label: {lab!r}")

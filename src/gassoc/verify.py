@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .elimtree import ElimTree, SwapMove, _Projector, _root_first, swap_neighbors
+from .elimtree import ElimTree, SwapMove, _Projector, _pack, _root_first, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
     bfs_distances,
@@ -92,21 +92,17 @@ def verify_projection_suite(max_n: int = 5) -> SuiteReport:
                 for mask in range(1, g.full_mask + 1)
                 if g.component_of((mask & -mask).bit_length() - 1, mask) == mask
             ]
-            trees = enumerate_all(g)
             # Every tree's images, by key, so that a swap looks up its neighbour's.
             images = {
-                t.canonical_key(): [p(_root_first(t.parent, t.children)) for p in projs]
-                for t in trees
+                t.canonical_key(): [_pack(p(_root_first(t.parent, t.children))) for p in projs]
+                for t in enumerate_all(g)
             }
-            for t, before in zip(trees, images.values()):
+            for key, before in images.items():
                 # The swap kernel on G[U], not the projection, says what
                 # swap(u, v) does to T|_U (for u, v both in U).
-                swaps = [
-                    {q[:3] for q in swap_neighbors(p.adj, p1)}
-                    for p, p1 in zip(projs, before)
-                ]
-                for u, v, _, key in swap_neighbors(g.adj, t.parent):
-                    for p, p1, p2, p_swaps in zip(projs, before, images[key], swaps):
+                swaps = [set(swap_neighbors(p.adj, p1)) for p, p1 in zip(projs, before)]
+                for u, v, nk in swap_neighbors(g.adj, key):
+                    for p, p1, p2, p_swaps in zip(projs, before, images[nk], swaps):
                         report.checked += 1
                         if p2 == p1 or (p.index.get(u), p.index.get(v), p2) in p_swaps:
                             continue

@@ -7,7 +7,8 @@ Counting oracles used here:
 """
 
 import random
-from itertools import permutations
+import tracemalloc
+from itertools import combinations, permutations
 
 import pytest
 
@@ -279,6 +280,15 @@ def test_validate_sequence_rejects_a_start_tree_of_another_graph():
         weighted_length(ReconfigSequence(ElimTree(path_graph(3), (1, -1, 0)), ()), {})
 
 
+def test_weighted_length_checks_its_weights():
+    g = path_graph(3)
+    t = ElimTree.from_ordering(g, g.labels)
+    seq = ReconfigSequence(t, (t.enumerate_swaps()[0],))
+    for w in ({}, {"1": 1, "2": 0, "3": 1}, {"1": 1, "2": -2, "3": 1}):
+        with pytest.raises(InvalidArgument, match="weight"):
+            weighted_length(seq, w)
+
+
 def test_searches_stop_at_the_node_budget():
     g = complete_graph(3)
     t1 = ElimTree.from_ordering(g, "123")
@@ -391,6 +401,44 @@ def test_diameter_pruned_equals_allpairs_shuffled_labels(builder, expected, seed
     rename = dict(zip(g.labels, labels))
     h = Graph(sorted(labels), [(rename[a], rename[b]) for a, b in g.edges])
     assert diameter(h) == diameter(h, exact_allpairs=True) == expected
+
+
+def test_diameters_against_the_literature():
+    # Manneville & Pilaud (2015), for connected G: max(m, 2n - 18) <= diam
+    # <= n(n - 1)/2, and adding an edge never lowers the diameter
+    additions = 0
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            d = diameter(g)
+            assert max(g.m, 2 * n - 18) <= d <= n * (n - 1) // 2
+            for a, b in combinations(g.labels, 2):
+                if not g.has_edge(a, b):
+                    assert diameter(Graph(g.labels, g.edges + ((a, b),))) >= d
+                    additions += 1
+    assert additions == 821
+    # stellohedra: 2(n - 1) holds only from n = 6 on
+    assert [diameter(star_graph(n)) for n in range(3, 9)] == [2, 4, 7, 10, 12, 14]
+
+
+def test_searches_keep_each_state_once():
+    # a search holds each state as its key alone, not also as a parent tuple
+    g = random_connected_graph(10, 0.3, 1)
+    order = list(g.labels)
+    random.Random(0).shuffle(order)
+    t1, t2 = ElimTree.from_ordering(g, order), ElimTree.from_ordering(g, order[::-1])
+    tracemalloc.start()
+    try:
+        assert distance(g, t1, t2) == 18
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    moves = [(m.u, m.v) for m in shortest_path(g, t1, t2).moves]
+    assert moves == [
+        ("4", "5"), ("5", "1"), ("6", "1"), ("2", "1"), ("9", "1"), ("10", "7"),
+        ("6", "7"), ("2", "7"), ("9", "7"), ("1", "7"), ("8", "7"), ("8", "1"),
+        ("6", "5"), ("8", "5"), ("5", "3"), ("8", "4"), ("8", "6"), ("8", "9"),
+    ]
 
 
 def test_dot_export_shape():

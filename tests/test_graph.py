@@ -31,6 +31,10 @@ def test_rejects_bad_labels_and_edges():
         Graph(["a b"], [])
     with pytest.raises(InvalidArgument):
         Graph(["#x"], [])
+    # the text formats cannot carry these: '#' starts a comment, '-' marks a root
+    for label in ("a#b", "-"):
+        with pytest.raises(InvalidArgument):
+            Graph([label], [])
     with pytest.raises(InvalidArgument):
         Graph(["a"], [("a", "a")])
     with pytest.raises(InvalidArgument):

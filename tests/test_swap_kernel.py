@@ -164,7 +164,8 @@ def oracle_flip_graph(g):
 
 def assert_kernel_matches(g, parent):
     want = oracle_neighbors(g, parent)
-    assert list(swap_neighbors(g.adj, parent)) == want
+    key = array("l", parent).tobytes()
+    assert list(swap_neighbors(g.adj, key)) == [(u, v, nk) for u, v, _, nk in want]
     tree = ElimTree(g, parent)
     moves = tree.enumerate_swaps()
     assert [(g.index(m.u), g.index(m.v)) for m in moves] == [w[:2] for w in want]

@@ -5,7 +5,7 @@ import re
 from itertools import combinations, permutations
 
 from gassoc import verify
-from gassoc.elimtree import ElimTree, _Projector, swap_neighbors
+from gassoc.elimtree import ElimTree, _Projector, _pack, _unpack, swap_neighbors
 from gassoc.flipgraph import ReconfigSequence, enumerate_all, shortest_path
 from gassoc.graph import Graph
 from gassoc.reductions import (
@@ -137,13 +137,14 @@ def test_projection_suite_catches_a_wrong_swap_rule(monkeypatch):
             super().__init__(adj, mask)
             self.adj = OnSubgraph(self.adj)
 
-    def careless(adj, parent):
-        for u, v, nb, key in swap_neighbors(adj, parent):
+    def careless(adj, key):
+        parent = _unpack(key)
+        for u, v, nk in swap_neighbors(adj, key):
             if isinstance(adj, OnSubgraph):
                 nb = list(parent)
                 nb[u], nb[v] = v, parent[u]
-                nb = tuple(nb)
-            yield u, v, nb, key
+                nk = _pack(nb)
+            yield u, v, nk
 
     monkeypatch.setattr(verify, "_Projector", Marking)
     monkeypatch.setattr(verify, "swap_neighbors", careless)
