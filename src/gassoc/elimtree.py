@@ -272,16 +272,23 @@ def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...
     """The parent tuple of the elimination tree of vertex order ``order``
     on the graph with adjacency masks ``adj``: adding the vertices in
     reverse, each one becomes the parent of the roots of the trees it
-    touches. A disconnected graph gets one root per component."""
+    touches. A disconnected graph gets one root per component. Each tree
+    keeps its vertex mask at its root, so v clears a whole tree from its
+    remaining neighbours once it links that tree: one find per child tree,
+    not one per edge."""
     parent = [-1] * len(adj)
     top = list(range(len(adj)))  # union-find towards the root of each tree so far
+    tree = [1 << i for i in range(len(adj))]  # the vertex mask of each tree, at its root
     done = 0
     for v in reversed(order):
-        for x in iter_bits(adj[v] & done):
+        rest = adj[v] & done
+        while rest:
+            x = (rest & -rest).bit_length() - 1
             while top[x] != x:
                 top[x] = x = top[top[x]]
-            if x != v:
-                parent[x] = top[x] = v
+            rest ^= rest & tree[x]
+            tree[v] |= tree[x]
+            parent[x] = top[x] = v
         done |= 1 << v
     return tuple(parent)
 

@@ -322,11 +322,12 @@ def adjacency_diameter(adj: list[list[int]]) -> int:
 
 
 def flip_graph_dot(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> str:
-    """DOT export of the full flip graph with ordering labels on nodes."""
+    """DOT export of the full flip graph with ordering labels on nodes
+    (``\\`` and ``"`` escaped, as DOT quoted strings need)."""
     trees, adj = explicit_flip_graph(g, cap)
     lines = ["graph flipgraph {"]
     for i, tree in enumerate(trees):
-        label = " ".join(tree.to_ordering())
+        label = " ".join(tree.to_ordering()).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for i, nbrs in enumerate(adj):
         for j in nbrs:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidArgument, ParseError
 
@@ -69,6 +69,26 @@ class Graph:
             edge_list.append((a, b))
         self.edges: tuple[tuple[str, str], ...] = tuple(edge_list)
         self.full_mask = (1 << n) - 1
+
+    @classmethod
+    def _with_cliques(cls, vertices, edges, cliques: Iterable[Sequence[str]]) -> "Graph":
+        """``Graph(vertices, edges)`` followed by the edges ``combinations(clique,
+        2)`` of each clique. Each clique vertex gets the clique's mask in one
+        step, after a check that none of those edges would be a self-loop or
+        a parallel edge."""
+        g = cls(vertices, edges)
+        edge_list = list(g.edges)
+        for clique in cliques:
+            cmask = g.mask(clique)
+            if cmask.bit_count() != len(clique):
+                raise InvalidArgument("self-loop: a clique lists a vertex twice")
+            for i in iter_bits(cmask):
+                if g.adj[i] & cmask:
+                    raise InvalidArgument(f"parallel edge at {g.labels[i]!r} inside a clique")
+                g.adj[i] |= cmask ^ 1 << i
+            edge_list.extend(combinations(clique, 2))
+        g.edges = tuple(edge_list)
+        return g
 
     @property
     def n(self) -> int:

@@ -160,10 +160,7 @@ def build_weighted_instance(
                 edges.extend((si, ue) for si in s_cl)
             elif end == t:
                 edges.extend((ti, ue) for ti in t_cl)
-    for clique in (s_cl, t_cl):
-        edges.extend(combinations(clique, 2))
-
-    h = Graph(vertices, edges)
+    h = Graph._with_cliques(vertices, edges, (s_cl, t_cl))
     weights = {lab: N for lab in v_orig}
     weights.update({lab: N**8 for lab in v_copy})
     weights.update({lab: 1 for lab in u_sub})

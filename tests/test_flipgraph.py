@@ -7,6 +7,7 @@ Counting oracles used here:
 """
 
 import random
+import re
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -447,6 +448,15 @@ def test_dot_export_shape():
     assert dot.startswith("graph flipgraph {")
     assert dot.count("--") == 5  # the pentagon
     assert dot.count("label=") == 5
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    g = Graph(['a"b', "c\\"], [('a"b', "c\\")])
+    nodes = [line.strip() for line in flip_graph_dot(g).splitlines() if "label=" in line]
+    assert len(nodes) == 2
+    for line in nodes:
+        assert re.fullmatch(r'n\d+ \[label="(?:[^"\\]|\\.)*"\];', line), line
+    assert 'n0 [label="c\\\\ a\\"b"];' in nodes
 
 
 def test_disconnected_host_graph_is_rejected():

@@ -398,6 +398,27 @@ def test_weighted_instance_bytes_are_pinned(name, N):
     assert _graph_sha256(inst.graph) == WEIGHTED_GRAPH_SHA256[name, N]
 
 
+@pytest.mark.parametrize(
+    "name, N", [(name, N) for name in ("path", "cycle") for N in (2, 3, 4)] + [("cycle", 6)]
+)
+def test_clique_adjacency_matches_the_checking_constructor(name, N):
+    source = {"path": path_source, "cycle": cycle_source}[name]()
+    h = build_weighted_instance(source, "s", "t", N=N).graph
+    assert h.adj == Graph(h.labels, h.edges).adj
+
+
+def test_clique_construction_keeps_the_edge_checks():
+    g = Graph._with_cliques("abcd", [("c", "d")], ["abc"])
+    assert g.edges == (("c", "d"), ("a", "b"), ("a", "c"), ("b", "c"))
+    assert g.adj == Graph(g.labels, g.edges).adj
+    with pytest.raises(InvalidArgument, match="parallel edge"):
+        Graph._with_cliques("abcd", [("c", "a")], ["abc"])
+    with pytest.raises(InvalidArgument, match="self-loop"):
+        Graph._with_cliques("abcd", [], ["abca"])
+    with pytest.raises(InvalidArgument, match="unknown vertex"):
+        Graph._with_cliques("abcd", [], ["abe"])
+
+
 def test_blowup_instance_bytes_are_pinned():
     g = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
     inst = build_unweighted_instance(

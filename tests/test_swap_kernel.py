@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassoc.elimtree import (
-    ElimTree, SwapMove, _subtree_masks, is_valid, project, swap_neighbors
+    ElimTree,
+    SwapMove,
+    _ordering_parent,
+    _root_first,
+    _subtree_masks,
+    is_valid,
+    project,
+    swap_neighbors,
 )
 from gassoc.flipgraph import (
     ReconfigSequence, enumerate_all, explicit_flip_graph, validate_sequence
@@ -264,6 +271,47 @@ def test_from_ordering_matches_oracle():
         sigma = list(g.labels)
         random.Random(seed).shuffle(sigma)
         assert ElimTree.from_ordering(g, sigma).parent == oracle_from_ordering(g, sigma)
+
+
+def oracle_ordering_parent(adj, order):
+    """The earlier ``_ordering_parent``: one union-find step per edge."""
+    parent = [-1] * len(adj)
+    top = list(range(len(adj)))
+    done = 0
+    for v in reversed(order):
+        for x in iter_bits(adj[v] & done):
+            while top[x] != x:
+                top[x] = x = top[top[x]]
+            if x != v:
+                parent[x] = top[x] = v
+        done |= 1 << v
+    return tuple(parent)
+
+
+def test_ordering_parent_matches_per_edge_union_find_at_scale():
+    path = Graph(["s", "v1", "v2", "t"], [("s", "v1"), ("v1", "v2"), ("v2", "t")])
+    cycle = Graph(["s", "v1", "t", "v2"], [("s", "v1"), ("v1", "t"), ("t", "v2"), ("v2", "s")])
+    for source in (path, cycle):
+        for N in range(2, 7):  # cliques of up to 216 vertices
+            inst = build_weighted_instance(source, "s", "t", N=N)
+            for tree in (inst.t_ini, inst.t_tar):
+                order = _root_first(tree.parent, tree.children)
+                want = oracle_ordering_parent(inst.graph.adj, order)
+                assert _ordering_parent(inst.graph.adj, order) == want == tree.parent
+    n = 10_001
+    star = [(1 << n) - 2] + [1] * (n - 1)  # centre 0
+    for order in ([*range(1, n), 0], list(range(n))):  # leaves first, centre first
+        assert _ordering_parent(star, order) == oracle_ordering_parent(star, order)
+    assert _ordering_parent(star, range(n)) == (-1,) + (0,) * (n - 1)
+    # Three components: a random graph, a 5-cycle and an isolated vertex.
+    adj = list(random_connected_graph(7, 0.3, 1).adj)
+    adj += [mask << 7 for mask in cycle_graph(5).adj] + [0]
+    for seed in range(20):
+        order = list(range(len(adj)))
+        random.Random(seed).shuffle(order)
+        parent = _ordering_parent(adj, order)
+        assert parent == oracle_ordering_parent(adj, order)
+        assert parent.count(-1) == 3
 
 
 def test_project_matches_oracle():
