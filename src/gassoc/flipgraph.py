@@ -79,7 +79,7 @@ def weighted_length(seq: ReconfigSequence, w: Mapping[str, int]) -> int:
 
 def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
     """All elimination trees of ``g`` by BFS over swaps, sorted by key."""
-    return explicit_flip_graph(g, cap)[0]
+    return _trees(g, sorted(_flip_graph(g, cap)[0]))
 
 
 def _budgeted_expand(g: Graph, node_budget: int):
@@ -228,17 +228,15 @@ def weighted_shortest_path(
 # -- explicit materialization and diameter ------------------------------
 
 
-def explicit_flip_graph(
-    g: Graph, cap: int = DEFAULT_NODE_BUDGET
-) -> tuple[list[ElimTree], list[list[int]]]:
-    """Materialize the flip graph: trees sorted by key plus adjacency lists.
-
-    One BFS over swaps records every tree's neighbours as it goes; the
-    flip graph is connected, so any start tree reaches everything.
-    """
-    keys = [ElimTree.from_ordering(g, g.labels).canonical_key()]
-    ids = {keys[0]: 0}
-    rows = []
+def _flip_graph(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> tuple[list[bytes], list[list[int]]]:
+    """One BFS over swaps: every tree's key in discovery order, and rows[i]
+    the indices of the n - 1 neighbours of keys[i]. The flip graph is
+    connected, so any start tree reaches everything. ``cap`` bounds the keys
+    stored, the first one included."""
+    start = ElimTree.from_ordering(g, g.labels).canonical_key()
+    if cap < 1:
+        raise ResourceLimit(f"enumeration cap {cap} exceeded")
+    keys, ids, rows = [start], {start: 0}, []
     for key in keys:  # FIFO: the list grows while it is scanned
         row = []
         for _, _, nk in swap_neighbors(g.adj, key):
@@ -250,9 +248,23 @@ def explicit_flip_graph(
                 keys.append(nk)
             row.append(j)
         rows.append(row)
+    return keys, rows
+
+
+def _trees(g: Graph, keys: Iterable[bytes]) -> list[ElimTree]:
+    """The trees of trusted keys, in the keys' order."""
+    return [ElimTree._trusted(g, tuple(_unpack(key)), key=key) for key in keys]
+
+
+def explicit_flip_graph(
+    g: Graph, cap: int = DEFAULT_NODE_BUDGET
+) -> tuple[list[ElimTree], list[list[int]]]:
+    """Materialize the flip graph: trees sorted by key plus adjacency lists
+    in that numbering."""
+    keys, rows = _flip_graph(g, cap)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
-    trees = [ElimTree._trusted(g, tuple(_unpack(keys[i])), key=keys[i]) for i in order]
+    trees = _trees(g, (keys[i] for i in order))
     return trees, [sorted(rank[j] for j in rows[i]) for i in order]
 
 
@@ -313,7 +325,7 @@ def diameter(
     by the bit-parallel BFS kernel. ``exact_allpairs`` is accepted for
     compatibility and changes nothing; there is only this one mode.
     """
-    return adjacency_diameter(explicit_flip_graph(g, cap)[1])
+    return adjacency_diameter(_flip_graph(g, cap)[1])
 
 
 def adjacency_diameter(adj: list[list[int]]) -> int:

@@ -13,9 +13,9 @@ from itertools import product
 from .elimtree import ElimTree, SwapMove, _Projector, _pack, _root_first, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
+    _flip_graph,
     bfs_distances,
     enumerate_all,
-    explicit_flip_graph,
     moves_weight,
     weighted_distance,
 )
@@ -136,8 +136,8 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
             for ws in _blowup_weight_sets(n, max_total, 2, seed * 97 + gi):
                 w = dict(zip(g.labels, ws))
                 inst = build_unweighted_instance(g, w, base, base)
-                trees_p, adj_p = explicit_flip_graph(inst.graph)
-                ids_p = {t.canonical_key(): i for i, t in enumerate(trees_p)}
+                keys_p, adj_p = _flip_graph(inst.graph)
+                ids_p = {key: i for i, key in enumerate(keys_p)}
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
                 for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])

@@ -263,6 +263,44 @@ def test_exit_code_resource_limit(files, capsys, tmp_path):
     assert main(["--node-budget", "11", *blowup]) == 0
 
 
+def test_node_budget_counts_the_first_tree(files, capsys):
+    one = files("k1.txt", "1 0\nx\n")
+    for command in ("enumerate", "diameter"):
+        for budget in ("0", "-1"):
+            assert main(["--node-budget", budget, command, one]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"resource limit: enumeration cap {budget} ")
+        assert main(["--node-budget", "1", command, one]) == 0
+        capsys.readouterr()
+    # P3 has 5 trees
+    p3 = files("p3.txt", P3)
+    assert main(["--node-budget", "4", "diameter", p3]) == 4
+    assert main(["--node-budget", "5", "diameter", p3]) == 0
+    assert capsys.readouterr().out.startswith("diameter 2\nvertices 5\n")
+
+
+def test_diameter_command_builds_no_trees(files, capsys, monkeypatch):
+    from gassoc.elimtree import ElimTree
+
+    calls = []
+    trusted = ElimTree._trusted.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ElimTree, "_trusted", classmethod(counted))
+    labels = [str(i) for i in range(1, 9)]
+    edges = [f"{a} {b}" for a, b in zip(labels, labels[1:])]
+    p8 = files("p8.txt", "\n".join(["8 7", *labels, *edges]) + "\n")
+    code, out = run(capsys, "diameter", p8)
+    assert code == 0 and out.startswith("diameter 11\nvertices 1430\n")
+    assert calls == []
+    assert main(["enumerate", p8]) == 0
+    assert len(calls) == 1430  # the counter sees the trees enumerate builds
+
+
 @pytest.mark.parametrize(
     "argv, texts",
     [

@@ -442,6 +442,18 @@ def test_searches_keep_each_state_once():
     ]
 
 
+def test_diameter_builds_no_trees():
+    # the diameter reads bare neighbour indices: no ElimTree per flip-graph vertex
+    diameter(path_graph(3))  # numpy is imported outside the trace
+    tracemalloc.start()
+    try:
+        assert diameter(path_graph(9)) == 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_dot_export_shape():
     g = path_graph(3)
     dot = flip_graph_dot(g)

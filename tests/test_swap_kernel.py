@@ -27,7 +27,7 @@ from gassoc.elimtree import (
     swap_neighbors,
 )
 from gassoc.flipgraph import (
-    ReconfigSequence, enumerate_all, explicit_flip_graph, validate_sequence
+    ReconfigSequence, _flip_graph, enumerate_all, explicit_flip_graph, validate_sequence
 )
 from gassoc.graph import Graph, induced_subgraph, iter_bits
 from gassoc.reductions import (
@@ -242,7 +242,27 @@ def test_explicit_flip_graph_matches_oracle():
         ids = {t: i for i, t in enumerate(order)}
         trees, adj = explicit_flip_graph(g)
         assert [t.parent for t in trees] == order
+        assert [t.canonical_key() for t in enumerate_all(g)] == [
+            t.canonical_key() for t in trees
+        ]
         assert adj == [sorted(ids[nb] for nb in found[t]) for t in order]
+
+
+def test_flip_graph_core_matches_oracle():
+    # the unsorted core: keys in discovery order, rows of indices into them
+    graphs = [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
+    graphs += [path_graph(8), cycle_graph(7), star_graph(6), complete_graph(6),
+               random_connected_graph(7, 0.4, 1)]
+    for g in graphs:
+        found = {
+            array("l", t).tobytes(): sorted(array("l", nb).tobytes() for nb in nbs)
+            for t, nbs in oracle_flip_graph(g).items()
+        }
+        keys, rows = _flip_graph(g)
+        assert len(keys) == len(set(keys)) and set(keys) == set(found)
+        assert len(rows) == len(keys)
+        for key, row in zip(keys, rows):
+            assert sorted(keys[j] for j in row) == found[key]
 
 
 def test_is_valid_matches_oracle_on_every_spanning_tree():
