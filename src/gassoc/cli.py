@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 from .elimtree import format_tree, parse_tree, project
 from .errors import InvalidArgument, ParseError, ResourceLimit
@@ -30,7 +29,6 @@ from .flipgraph import (
 from .graph import _read_text, parse_graph, parse_weights
 from .polymatroid import GraphAssocRank
 from .reductions import (
-    _write_fresh,
     build_unweighted_instance,
     build_weighted_instance,
     instance_meta,
@@ -110,15 +108,13 @@ def cmd_reduce_cut(args) -> int:
     # Built before the bundle is written, so a rejected X leaves OUTDIR as it was.
     seq = sufficiency_sequence(inst, args.sufficiency.split(",")) if args.sufficiency else None
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar, weights=inst.weights,
-                 meta=instance_meta(inst))
+                 meta=instance_meta(inst), moves=None if seq is None else seq.moves)
     lines = [f"lambda {inst.cut_value}", f"threshold {threshold(inst)}"]
     payload = {"lambda": inst.cut_value, "threshold": str(threshold(inst))}
     if seq is not None:
         # Built move by move through apply_swap, which rejects an illegal
         # move, so the sequence needs no second replay.
         weight = moves_weight(seq.moves, inst.weights)
-        _write_fresh(Path(args.outdir) / "sufficiency.moves",
-                     "".join(f"{m.u} {m.v}\n" for m in seq.moves))
         lines.append(f"sequence_weight {weight}")
         lines.append(f"below_threshold {weight < threshold(inst)}")
         payload["sequence_weight"] = str(weight)
@@ -178,25 +174,21 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("tree2")
     d.add_argument("--weights")
     d.add_argument("--path", action="store_true")
-    d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_dist)
 
     dm = sub.add_parser("diameter", help="exact flip-graph diameter")
     dm.add_argument("graph")
     dm.add_argument("--exact-allpairs", action="store_true")
-    dm.add_argument("--json", action="store_true")
     dm.set_defaults(func=cmd_diameter)
 
     en = sub.add_parser("enumerate", help="enumerate all elimination trees")
     en.add_argument("graph")
     en.add_argument("--dot", action="store_true")
-    en.add_argument("--json", action="store_true")
     en.set_defaults(func=cmd_enumerate)
 
     rk = sub.add_parser("rank", help="rank of a vertex subset")
     rk.add_argument("graph")
     rk.add_argument("labels", nargs="*")
-    rk.add_argument("--json", action="store_true")
     rk.set_defaults(func=cmd_rank)
 
     rd = sub.add_parser("reduce", help="build reduction instances")
@@ -208,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rc.add_argument("outdir")
     rc.add_argument("--N", type=int, default=None)
     rc.add_argument("--sufficiency", help="comma-separated cut side X")
-    rc.add_argument("--json", action="store_true")
     rc.set_defaults(func=cmd_reduce_cut)
     rb = rds.add_parser("blowup", help="weighted to unweighted clique blow-up")
     rb.add_argument("graph")
@@ -216,13 +207,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rb.add_argument("tree1")
     rb.add_argument("tree2")
     rb.add_argument("outdir")
-    rb.add_argument("--json", action="store_true")
     rb.set_defaults(func=cmd_reduce_blowup)
 
     vf = sub.add_parser("verify", help="run a verification suite")
     vf.add_argument("suite", choices=sorted(SUITES))
-    vf.add_argument("--json", action="store_true")
     vf.set_defaults(func=cmd_verify)
+
+    for cmd in (d, dm, en, rk, rc, rb, vf):  # every command but project prints
+        cmd.add_argument("--json", action="store_true")
 
     pj = sub.add_parser("project", help="project a tree onto a vertex subset")
     pj.add_argument("graph")

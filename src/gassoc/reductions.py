@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
-    ElimTree, SwapMove, _Projector, _root_first, format_tree, parse_tree
+    ElimTree, SwapMove, _Projector, _root_first, format_tree, is_valid, parse_tree
 )
 from .errors import IllegalMove, InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence, validate_sequence
@@ -303,17 +303,12 @@ def build_unweighted_instance(
 
 
 def blowup_tree(inst: BlowupInstance, t: ElimTree) -> ElimTree:
-    """The blow-up image of a source elimination tree."""
-    gp = inst.graph
-    parent = [-1] * gp.n
-    for v in inst.source.labels:
-        copies = inst.copy_map[v]
-        for i in range(1, len(copies)):
-            parent[gp.index(copies[i])] = gp.index(copies[i - 1])
-        p = t.parent_of(v)
-        if p is not None:
-            parent[gp.index(copies[0])] = gp.index(inst.copy_map[p][-1])
-    return ElimTree(gp, parent)
+    """The blow-up image of a source elimination tree: the tree of any of
+    its linear extensions with each vertex replaced by its copies."""
+    if not is_valid(inst.source, t):
+        raise InvalidArgument("not an elimination tree of the source graph")
+    order = [c for v in t.to_ordering() for c in inst.copy_map[v]]
+    return ElimTree.from_ordering(inst.graph, order)
 
 
 def lift_sequence(inst: BlowupInstance, seq: ReconfigSequence) -> ReconfigSequence:
@@ -408,27 +403,36 @@ def write_bundle(
     t_tar: ElimTree,
     weights: Mapping[str, int] | None = None,
     meta: Mapping[str, object] | None = None,
+    moves: Iterable[SwapMove] | None = None,
 ) -> None:
-    """Write the on-disk instance bundle (graph, trees, weights, meta)."""
+    """Write the on-disk instance bundle: the graph, the two trees and, if
+    given, the weights, the meta data and a move list. A file that is not
+    given is removed, so a rewrite keeps nothing of an earlier bundle."""
     d = Path(path)
-    _write_fresh(d / "graph.txt", format_graph(graph))
-    _write_fresh(d / "t_ini.tree", format_tree(t_ini))
-    _write_fresh(d / "t_tar.tree", format_tree(t_tar))
-    if weights is not None:
-        _write_fresh(d / "weights.txt", "".join(f"{lab} {weights[lab]}\n" for lab in graph.labels))
-    if meta is not None:
-        _write_fresh(d / "meta.json", json.dumps(meta, indent=2) + "\n")
+    files = {
+        "graph.txt": format_graph(graph),
+        "t_ini.tree": format_tree(t_ini),
+        "t_tar.tree": format_tree(t_tar),
+        "weights.txt": None if weights is None else "".join(
+            f"{lab} {weights[lab]}\n" for lab in graph.labels),
+        "meta.json": None if meta is None else json.dumps(meta, indent=2) + "\n",
+        "sufficiency.moves": None if moves is None else "".join(
+            f"{m.u} {m.v}\n" for m in moves),
+    }
+    for name, text in files.items():
+        _write_fresh(d / name, text)
 
 
-def _write_fresh(path: Path, text: str) -> None:
+def _write_fresh(path: Path, text: str | None) -> None:
     """Write ``text`` to ``path`` as a new file, making its directory if
-    need be; an unwritable path raises InvalidArgument. Truncating the old
-    file, or renaming over it, makes ext4 wait until its old contents are
-    on disk."""
+    need be, or only remove the file if ``text`` is None; an unwritable
+    path raises InvalidArgument. Truncating the old file, or renaming over
+    it, makes ext4 wait until its old contents are on disk."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.unlink(missing_ok=True)
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
     except OSError as exc:
         raise InvalidArgument(f"cannot write {path}: {exc}") from None
 

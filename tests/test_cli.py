@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gassoc.cli import main
+from gassoc.reductions import read_bundle
 
 K3 = "3 3\n1\n2\n3\n1 2\n2 3\n1 3\n"
 P3 = "3 2\n1\n2\n3\n1 2\n2 3\n"
@@ -245,6 +246,39 @@ def test_exit_code_semantic_error(files, capsys):
         "reduce", "cut", cyc, "s", "t", str(out), "--N", "2", "--sufficiency", "s",
     ]) == 3
     assert list(out.glob("*")) == []
+
+
+STAR = "4 3\ns\nt\na\nb\ns t\ns a\ns b\n"
+P4 = "4 3\ns\na\nb\nt\ns a\na b\nb t\n"
+
+
+def test_reduce_cut_rejects_a_side_that_is_not_a_minimum_cut(files, capsys, tmp_path):
+    # lambda = 1 only at X = {s, a, b}; the balanced X = {s, a} cuts s-t and s-b
+    out = tmp_path / "out"
+    code = main(["reduce", "cut", files("star.txt", STAR), "s", "t", str(out),
+                 "--N", "2", "--sufficiency", "s,a"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: X is not a minimum cut: |cut| = 2 != 1\n"
+    assert not out.exists()
+
+
+def test_rewritten_bundle_keeps_no_earlier_file(files, capsys, tmp_path):
+    p4, out = files("p4.txt", P4), tmp_path / "B"
+    cut = ["reduce", "cut", p4, "s", "t", str(out), "--N", "2"]
+    assert main([*cut, "--sufficiency", "s,a"]) == 0
+    assert (out / "sufficiency.moves").exists()
+    assert main(cut) == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "graph.txt", "meta.json", "t_ini.tree", "t_tar.tree", "weights.txt"]
+    assert main([*cut, "--sufficiency", "s,a"]) == 0
+    w = files("w.txt", "s 1\na 2\nb 1\nt 2\n")
+    t1 = files("t1.tree", "s -\na s\nb a\nt b\n")
+    t2 = files("t2.tree", "t -\nb t\na b\ns a\n")
+    assert main(["reduce", "blowup", p4, w, t1, t2, str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["graph.txt", "t_ini.tree", "t_tar.tree"]
+    bundle = read_bundle(out)
+    assert bundle["graph"].n == 6
+    assert bundle["weights"] is None and bundle["meta"] is None
 
 
 def test_exit_code_resource_limit(files, capsys, tmp_path):

@@ -225,6 +225,16 @@ def test_from_ordering_rejects_disconnected_graph():
         ElimTree.from_ordering(g, ["1", "2", "3"])
 
 
+def test_from_ordering_rejects_bad_orderings():
+    g = path_graph(3)
+    with pytest.raises(InvalidArgument, match="^ordering must be a permutation of V$"):
+        ElimTree.from_ordering(g, ["1", "2"])
+    with pytest.raises(InvalidArgument, match="^duplicate label in ordering: '2'$"):
+        ElimTree.from_ordering(g, ["1", "2", "2"])
+    with pytest.raises(InvalidArgument, match="^empty graph has no elimination tree$"):
+        ElimTree.from_ordering(Graph([], []), [])
+
+
 def test_constructor_rejects_parent_index_out_of_range():
     g = path_graph(3)
     with pytest.raises(InvalidArgument):

@@ -288,6 +288,9 @@ def test_weighted_length_checks_its_weights():
     for w in ({}, {"1": 1, "2": 0, "3": 1}, {"1": 1, "2": -2, "3": 1}):
         with pytest.raises(InvalidArgument, match="weight"):
             weighted_length(seq, w)
+    stuck = ReconfigSequence(t, (SwapMove("1", "3"),))  # 3 is not a child of 1
+    with pytest.raises(InvalidArgument, match="^sequence does not replay to a valid tree$"):
+        weighted_length(stuck, {"1": 1, "2": 1, "3": 1})
 
 
 def test_searches_stop_at_the_node_budget():

@@ -86,6 +86,9 @@ def test_balanced_min_cut_absent():
     g2 = Graph(["s", "t"], [("s", "t")])
     found2, _ = balanced_min_cut_exists(g2, "s", "t")
     assert found2
+    # star s-t, s-a, s-b: lambda = 1 only at X = {s, a, b}; a balanced side cuts 2
+    star = Graph(["s", "t", "a", "b"], [("s", "t"), ("s", "a"), ("s", "b")])
+    assert balanced_min_cut_exists(star, "s", "t") == (False, None)
 
 
 def test_parse_format_round_trip():

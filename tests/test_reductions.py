@@ -12,6 +12,7 @@ from gassoc.errors import InvalidArgument, ParseError, ResourceLimit
 from gassoc.flipgraph import (
     ReconfigSequence,
     distance,
+    enumerate_all,
     shortest_path,
     validate_sequence,
     weighted_distance,
@@ -175,6 +176,50 @@ def test_blowup_tree_path_rule():
     inst = build_unweighted_instance(g, {"1": 2, "2": 2}, chain, chain)
     assert inst.t_ini.to_ordering() == ("b:1:1", "b:1:2", "b:2:1", "b:2:2")
     assert inst.t_ini.parent_of("b:2:1") == "b:1:2"
+
+
+def _hand_blowup_parent(inst, t):
+    """The earlier hand-built blow-up image: the copies of v form a chain,
+    and the first copy of v hangs below the last copy of v's parent."""
+    gp = inst.graph
+    parent = [-1] * gp.n
+    for v in inst.source.labels:
+        copies = inst.copy_map[v]
+        for i in range(1, len(copies)):
+            parent[gp.index(copies[i])] = gp.index(copies[i - 1])
+        p = t.parent_of(v)
+        if p is not None:
+            parent[gp.index(copies[0])] = gp.index(inst.copy_map[p][-1])
+    return tuple(parent)
+
+
+def test_blowup_tree_matches_the_hand_rule():
+    rng = random.Random(1)
+    cases = 0
+    for n in range(1, 6):
+        for g in connected_graphs_up_to_iso(n):
+            trees = enumerate_all(g)
+            for _ in range(3):
+                w = {v: rng.randint(1, 3) for v in g.labels}
+                inst = build_unweighted_instance(g, w, trees[0], trees[-1])
+                for t in trees:
+                    assert blowup_tree(inst, t).parent == _hand_blowup_parent(inst, t)
+                    cases += 1
+    assert cases == 5508
+
+
+def test_blowup_tree_rejects_a_tree_that_is_not_the_sources():
+    g, w, inst = small_blowup()  # the path 1 - 2 - 3
+    others = (Graph(["1", "2", "x"], [("1", "2"), ("2", "x")]),
+              Graph(["1", "2"], [("1", "2")]),
+              Graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")]))
+    trees = [ElimTree.from_ordering(h, h.labels) for h in others]
+    # the source's labels, but 1 and 2 are both children of the root 3
+    star = Graph(["1", "2", "3"], [("1", "3"), ("2", "3")])
+    trees.append(ElimTree.from_ordering(star, ["3", "1", "2"]))
+    for t in trees:
+        with pytest.raises(InvalidArgument, match="not an elimination tree of the source"):
+            blowup_tree(inst, t)
 
 
 def test_blowup_rejects_nonpositive_weights():

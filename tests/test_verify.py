@@ -4,10 +4,12 @@ import random
 import re
 from itertools import combinations, permutations
 
-from gassoc import verify
+from gassoc import polymatroid, verify
+from gassoc.cli import main
 from gassoc.elimtree import ElimTree, _Projector, _pack, _unpack, swap_neighbors
 from gassoc.flipgraph import ReconfigSequence, enumerate_all, shortest_path
 from gassoc.graph import Graph
+from gassoc.polymatroid import GraphAssocRank
 from gassoc.reductions import (
     blowup_tree,
     build_unweighted_instance,
@@ -155,6 +157,55 @@ def test_blowup_suite_small():
     report = verify_blowup_suite(max_total=5)
     assert report.ok
     assert report.checked > 50
+
+
+def _shifted_coordinates(monkeypatch):
+    coordinates = polymatroid.devadoss_coordinates
+    monkeypatch.setattr(
+        polymatroid, "devadoss_coordinates",
+        lambda g, t: {v: x + 1 for v, x in coordinates(g, t).items()},
+    )
+
+
+def test_axioms_suite_reports_a_failure(monkeypatch):
+    rank = GraphAssocRank.rank
+
+    def one_on_empty(self, subset):
+        subset = list(subset)
+        return rank(self, subset) if subset else 1
+
+    monkeypatch.setattr(GraphAssocRank, "rank", one_on_empty)
+    report = verify_axioms_suite(max_n=3, random_n=5, random_count=2)
+    assert not report.ok and report.checked == 1 + 2 + 2
+    assert report.failures[0].startswith("n=2 edges=(('1', '2'),): ['P1: rank(empty) = 1 != 0'")
+    assert report.failures[-1].startswith("random seed=1: ['P1: rank(empty) = 1 != 0'")
+
+
+def test_realization_suite_reports_a_failure(monkeypatch):
+    _shifted_coordinates(monkeypatch)
+    report = verify_realization_suite(max_n=3)
+    assert not report.ok and report.checked == 3
+    # the greedy points and their skeleton no longer match the shifted coordinates
+    assert report.failures[0] == "n=2 edges=(('1', '2'),): failed ['compat', 'cover', 'skeleton']"
+
+
+def test_blowup_suite_reports_a_failure(monkeypatch):
+    weighted_distance = verify.weighted_distance
+    monkeypatch.setattr(
+        verify, "weighted_distance", lambda *args: weighted_distance(*args) + 1
+    )
+    report = verify_blowup_suite(max_total=4)
+    assert not report.ok and len(report.failures) == report.checked
+    assert report.failures[0] == "n=2 edges=(('1', '2'),) w=(1, 1) pair=(0,0): 1 != 0"
+
+
+def test_verify_command_prints_the_failures(monkeypatch, capsys):
+    _shifted_coordinates(monkeypatch)
+    assert main(["verify", "realization"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["suite realization", "checked 30", "ok False"]
+    assert len(lines) == 3 + 20  # the first 20 of the 30 failures
+    assert lines[3] == "n=2 edges=(('1', '2'),): failed ['compat', 'cover', 'skeleton']"
 
 
 def test_reversal_property_on_sufficiency_sequence():
