@@ -41,19 +41,20 @@ from .verify import SUITES
 __all__ = ["main"]
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str | None = None) -> None:
+    """Print the payload as JSON, else ``text``, else one ``key value`` line per field."""
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
     else:
-        print(text)
+        print("\n".join(f"{k} {v}" for k, v in payload.items()) if text is None else text)
 
 
 def cmd_dist(args) -> int:
     g = parse_graph(_read_text(args.graph))
     t1 = parse_tree(g, _read_text(args.tree1))
     t2 = parse_tree(g, _read_text(args.tree2))
-    w = parse_weights(g, _read_text(args.weights)) if args.weights else None
-    if w is not None:
+    if args.weights is not None:
+        w = parse_weights(g, _read_text(args.weights))
         seq = weighted_shortest_path(g, w, t1, t2, node_budget=args.node_budget)
         d = moves_weight(seq.moves, w)
     elif args.path:
@@ -88,7 +89,7 @@ def cmd_enumerate(args) -> int:
         print(flip_graph_dot(g, cap=args.node_budget), end="")
         return 0
     trees = enumerate_all(g, cap=args.node_budget)
-    _emit(args, {"count": len(trees)}, f"count {len(trees)}")
+    _emit(args, {"count": len(trees)})
     return 0
 
 
@@ -106,20 +107,19 @@ def cmd_reduce_cut(args) -> int:
         g, args.s, args.t, N=args.N, node_budget=args.node_budget
     )
     # Built before the bundle is written, so a rejected X leaves OUTDIR as it was.
-    seq = sufficiency_sequence(inst, args.sufficiency.split(",")) if args.sufficiency else None
+    seq = None if args.sufficiency is None else sufficiency_sequence(
+        inst, args.sufficiency.split(","))
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar, weights=inst.weights,
                  meta=instance_meta(inst), moves=None if seq is None else seq.moves)
-    lines = [f"lambda {inst.cut_value}", f"threshold {threshold(inst)}"]
-    payload = {"lambda": inst.cut_value, "threshold": str(threshold(inst))}
+    bound = threshold(inst)
+    payload = {"lambda": inst.cut_value, "threshold": str(bound)}
     if seq is not None:
         # Built move by move through apply_swap, which rejects an illegal
         # move, so the sequence needs no second replay.
         weight = moves_weight(seq.moves, inst.weights)
-        lines.append(f"sequence_weight {weight}")
-        lines.append(f"below_threshold {weight < threshold(inst)}")
         payload["sequence_weight"] = str(weight)
-        payload["below_threshold"] = weight < threshold(inst)
-    _emit(args, payload, "\n".join(lines))
+        payload["below_threshold"] = weight < bound
+    _emit(args, payload)
     return 0
 
 
@@ -130,8 +130,7 @@ def cmd_reduce_blowup(args) -> int:
     t2 = parse_tree(g, _read_text(args.tree2))
     inst = build_unweighted_instance(g, w, t1, t2, node_budget=args.node_budget)
     write_bundle(args.outdir, inst.graph, inst.t_ini, inst.t_tar)
-    payload = {"vertices": inst.graph.n, "edges": inst.graph.m}
-    _emit(args, payload, f"vertices {inst.graph.n}\nedges {inst.graph.m}")
+    _emit(args, {"vertices": inst.graph.n, "edges": inst.graph.m})
     return 0
 
 

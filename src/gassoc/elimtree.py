@@ -72,7 +72,8 @@ class ElimTree:
         cls, graph: Graph, parent: tuple[int, ...], children=None,
         key: bytes | None = None, masks: list[int] | None = None,
     ) -> "ElimTree":
-        """A tree from the swap kernel, valid by construction: no checks."""
+        """A tree built by rule (a swap, a vertex order on a connected graph,
+        a projection onto a connected set), valid by construction: no checks."""
         tree = object.__new__(cls)
         tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
         tree.children = _children(parent) if children is None else children
@@ -99,7 +100,7 @@ class ElimTree:
             raise InvalidArgument("empty graph has no elimination tree")
         if not g.is_connected():
             raise InvalidArgument("host graph must be connected")
-        return cls(g, _ordering_parent(g.adj, order))
+        return cls._trusted(g, _ordering_parent(g.adj, order))
 
     # -- queries ------------------------------------------------------
 
@@ -181,16 +182,6 @@ class ElimTree:
             for c in self.children[v]:
                 heapq.heappush(ready, c)
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ElimTree)
-            and self.graph is other.graph
-            and self.parent == other.parent
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.graph), self.parent))
 
     def __repr__(self) -> str:
         return f"ElimTree(root={self.root_label()!r}, n={self.graph.n})"
@@ -328,7 +319,7 @@ def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
     G[U] minus the T-ancestors of a."""
     proj = _Projector(g.adj, g.mask(u))
     subg = induced_subgraph(g, (g.labels[i] for i in proj.index))
-    return ElimTree(subg, proj(_root_first(t.parent, t.children)))
+    return ElimTree._trusted(subg, proj(_root_first(t.parent, t.children)))
 
 
 # -- text formats -----------------------------------------------------

@@ -93,7 +93,6 @@ def power_sum_inequality(a: Sequence[int]) -> bool:
 
 @dataclass
 class AxiomReport:
-    ground_size: int
     checked: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -114,7 +113,7 @@ def check_axioms(oracle: RankOracle) -> AxiomReport:
     n = len(ground)
     if n > 12:
         raise ResourceLimit(f"ground set too large: {n} > 12")
-    report = AxiomReport(ground_size=n)
+    report = AxiomReport()
     ranks: dict[int, int] = {}
     for mask in range(1 << n):
         ranks[mask] = oracle.rank(ground[i] for i in iter_bits(mask))

@@ -314,7 +314,6 @@ def blowup_tree(inst: BlowupInstance, t: ElimTree) -> ElimTree:
 def lift_sequence(inst: BlowupInstance, seq: ReconfigSequence) -> ReconfigSequence:
     """Replace each swap(u, v) by the w(u) * w(v) swaps that carry the
     v-copies block past the u-copies block, copy by copy."""
-    w = inst.weights
     tree = seq.start
     start_prime = blowup_tree(inst, tree)
     moves: list[SwapMove] = []
@@ -379,7 +378,7 @@ def project_sequence(
     gp = inst.graph
     proj = _Projector(gp.adj, gp.mask(inst.copy_map[v][phi[v] - 1] for v in g.labels))
     tree_prime = seq_prime.start
-    start = tree = ElimTree(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
+    start = tree = ElimTree._trusted(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         tree_prime = tree_prime.apply_swap(mv)

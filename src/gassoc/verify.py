@@ -53,18 +53,15 @@ def verify_axioms_suite(
 ) -> SuiteReport:
     """Rank axioms on every small connected graph plus seeded larger ones."""
     report = SuiteReport("axioms")
-    for n in range(2, max_n + 1):
-        for g in connected_graphs_up_to_iso(n):
-            rep = check_axioms(GraphAssocRank(g))
-            report.checked += 1
-            if not rep.ok:
-                report.failures.append(f"n={n} edges={g.edges}: {rep.violations[:3]}")
-    for k in range(random_count):
-        g = random_connected_graph(random_n, 0.4, seed * 1000 + k)
+    cases = [(f"n={n} edges={g.edges}", g)
+             for n in range(2, max_n + 1) for g in connected_graphs_up_to_iso(n)]
+    cases += [(f"random seed={s}", random_connected_graph(random_n, 0.4, s))
+              for s in range(seed * 1000, seed * 1000 + random_count)]
+    for name, g in cases:
         rep = check_axioms(GraphAssocRank(g))
         report.checked += 1
         if not rep.ok:
-            report.failures.append(f"random seed={seed * 1000 + k}: {rep.violations[:3]}")
+            report.failures.append(f"{name}: {rep.violations[:3]}")
     return report
 
 
@@ -168,9 +165,9 @@ def reversal_violations(seq: ReconfigSequence) -> list[tuple[int, int, str, str]
     ``u:<edge>``) that happen without any swap of two subdivision vertices
     in between.
 
-    Returns (i, j, a, b) tuples: a is an ancestor of b after step i, the
-    order is reversed after step j, and no two-subdivision swap occurs in
-    moves i..j.
+    Returns (i, j, a, b) tuples, sorted: a is an ancestor of b after step
+    i, the order is reversed after step j, and no two-subdivision swap
+    occurs in moves i..j.
     """
     trees = [seq.start]
     for mv in seq.moves:
@@ -184,12 +181,11 @@ def reversal_violations(seq: ReconfigSequence) -> list[tuple[int, int, str, str]
     uu_step = [mv.u.startswith("u:") and mv.v.startswith("u:") for mv in seq.moves]
     out = []
     for i in range(len(trees)):
+        pairs = sorted(anc[i])
         for j in range(i + 1, len(trees)):
-            if any(uu_step[i:j]):
-                continue
-            for a, b in anc[i]:
-                if (b, a) in anc[j]:
-                    out.append((i, j, a, b))
+            if uu_step[j - 1]:  # every later j spans this swap too
+                break
+            out.extend((i, j, a, b) for a, b in pairs if (b, a) in anc[j])
     return out
 
 

@@ -262,6 +262,19 @@ def test_reduce_cut_rejects_a_side_that_is_not_a_minimum_cut(files, capsys, tmp_
     assert not out.exists()
 
 
+def test_an_empty_option_value_is_read_not_ignored(files, capsys, tmp_path):
+    g, t1, t2 = files("g.txt", P3), files("t1.tree", CHAIN_123), files("t2.tree", CHAIN_321)
+    assert main(["dist", g, t1, t2, "--weights", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: cannot read ")
+    out = tmp_path / "out"
+    code = main(["reduce", "cut", files("p4.txt", P4), "s", "t", str(out),
+                 "--N", "2", "--sufficiency", ""])
+    assert code == 3
+    assert capsys.readouterr().err == "error: unknown vertex label: ''\n"
+    assert not out.exists()
+
+
 def test_rewritten_bundle_keeps_no_earlier_file(files, capsys, tmp_path):
     p4, out = files("p4.txt", P4), tmp_path / "B"
     cut = ["reduce", "cut", p4, "s", "t", str(out), "--N", "2"]
@@ -321,7 +334,8 @@ def test_diameter_command_builds_no_trees(files, capsys, monkeypatch):
     trusted = ElimTree._trusted.__func__
 
     def counted(cls, *args, **kwargs):
-        calls.append(1)
+        if "key" in kwargs:  # a tree per flip-graph vertex, not a start tree
+            calls.append(1)
         return trusted(cls, *args, **kwargs)
 
     monkeypatch.setattr(ElimTree, "_trusted", classmethod(counted))

@@ -1,0 +1,114 @@
+"""Argument guards and small branches that no other test reaches.
+
+Each case is a call and what it gives: an exception of exactly that type
+and message, or a return value.
+"""
+
+import pytest
+
+from gassoc.elimtree import ElimTree, SwapMove
+from gassoc.errors import IllegalMove, InvalidArgument, ResourceLimit
+from gassoc.flipgraph import ReconfigSequence
+from gassoc.graph import Graph, balanced_min_cut_exists, min_st_cut_value
+from gassoc.polymatroid import (
+    TableRank,
+    devadoss_coordinates,
+    greedy_extreme_point,
+    membership,
+    verify_realization,
+)
+from gassoc.reductions import build_unweighted_instance, canonicalize_sequence, paper_n
+from gassoc.smallgraphs import (
+    connected_graphs_up_to_iso,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+)
+
+
+def _one_vertex_coordinates():
+    g = Graph(["x"], [])
+    return devadoss_coordinates(g, ElimTree.from_ordering(g, ["x"]))
+
+
+def _twin_swap_of_a_non_child():
+    # blow-up of P2 with w = (2, 1): b:1:1 is the parent of b:1:2, not its child
+    g = path_graph(2)
+    t = ElimTree.from_ordering(g, g.labels)
+    inst = build_unweighted_instance(g, {"1": 2, "2": 1}, t, t)
+    walk = ReconfigSequence(inst.t_ini, (SwapMove("b:1:2", "b:1:1"),))
+    return canonicalize_sequence(inst, walk)
+
+
+CASES = {
+    "min_cut_s_equals_t": (
+        lambda: min_st_cut_value(path_graph(3), "1", "1"),
+        InvalidArgument("s and t must differ"),
+    ),
+    "min_cut_disconnected": (
+        lambda: min_st_cut_value(Graph(["a", "b"], []), "a", "b"),
+        InvalidArgument("graph must be connected"),
+    ),
+    "balanced_cut_odd": (
+        lambda: balanced_min_cut_exists(path_graph(3), "1", "3"),
+        InvalidArgument("|V| must be even"),
+    ),
+    "balanced_cut_too_big": (
+        lambda: balanced_min_cut_exists(path_graph(22), "1", "22"),
+        InvalidArgument("brute-force cap exceeded: 22 > 20"),
+    ),
+    "greedy_not_normalized": (
+        lambda: greedy_extreme_point(
+            TableRank(["a"], {frozenset(): 1, frozenset("a"): 1}), ["a"]),
+        InvalidArgument("oracle is not normalized: rank(empty) != 0"),
+    ),
+    "coordinates_one_vertex": (
+        _one_vertex_coordinates,
+        InvalidArgument("coordinates require at least two vertices"),
+    ),
+    "membership_too_big": (
+        lambda: membership(TableRank([str(i) for i in range(21)], {}), {}),
+        ResourceLimit("ground set too large: 21 > 20"),
+    ),
+    "realization_too_big": (
+        lambda: verify_realization(path_graph(9)),
+        ResourceLimit("too many orderings: 9! with n > 8"),
+    ),
+    "paper_n_odd": (
+        lambda: paper_n(path_graph(3)),
+        InvalidArgument("source graph must have an even number >= 2 of vertices"),
+    ),
+    "canonicalize_twin_swap": (
+        _twin_swap_of_a_non_child,
+        IllegalMove("'b:1:1' is not a child of 'b:1:2'"),
+    ),
+    "cycle_of_two": (
+        lambda: cycle_graph(2),
+        InvalidArgument("a cycle needs at least three vertices"),
+    ),
+    "random_graph_empty": (
+        lambda: random_connected_graph(0, 0.5, 1),
+        InvalidArgument("n must be positive"),
+    ),
+    "iso_classes_too_big": (
+        lambda: next(connected_graphs_up_to_iso(7)),
+        InvalidArgument("isomorphism enumeration capped at n = 6"),
+    ),
+    "empty_graph_connected": (lambda: Graph([], []).is_connected(), True),
+    "graph_repr": (lambda: repr(path_graph(3)), "Graph(n=3, m=2)"),
+    "tree_repr": (
+        lambda: repr(ElimTree.from_ordering(path_graph(3), ["2", "1", "3"])),
+        "ElimTree(root='2', n=3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", CASES.values(), ids=CASES.keys())
+def test_guard(call, expected):
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)

@@ -1,8 +1,13 @@
 """Verification suites and the hardness-instance property helpers."""
 
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 from gassoc import polymatroid, verify
 from gassoc.cli import main
@@ -246,6 +251,42 @@ def test_reversal_checker_detects_free_reversals():
             found = True
             break
     assert found
+
+
+REVERSAL_WALKS = """
+import json, random
+from gassoc.flipgraph import ReconfigSequence
+from gassoc.graph import Graph
+from gassoc.reductions import build_weighted_instance
+from gassoc.verify import reversal_violations
+g = Graph(["s", "v1", "t", "v2"], [("s", "v1"), ("v1", "t"), ("t", "v2"), ("v2", "s")])
+inst = build_weighted_instance(g, "s", "t", N=2)
+out = []
+for seed in range(40):
+    rng = random.Random(seed)
+    tree, moves = inst.t_ini, []
+    for _ in range(60):
+        mv = rng.choice(tree.enumerate_swaps())
+        moves.append(mv)
+        tree = tree.apply_swap(mv)
+    out.append(reversal_violations(ReconfigSequence(inst.t_ini, tuple(moves))))
+print(json.dumps(out))
+"""
+
+
+def test_reversal_violations_do_not_follow_the_hash_seed():
+    # the same seeded walks, in two processes whose set iteration orders differ
+    src = str(Path(__file__).parent.parent / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", REVERSAL_WALKS],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert sum(map(len, json.loads(outs[0]))) == 2111
 
 
 def blowup_of(labels, edges, weights):
