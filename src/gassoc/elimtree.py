@@ -39,12 +39,11 @@ class SwapMove:
 
 
 class ElimTree:
-    """Immutable rooted tree on the vertices of a host graph.
-
-    Stored as a parent array over the host's dense indices (-1 at the
-    root); children lists are derived once and kept sorted by index so
-    all traversals are deterministic. Subtree masks are computed on first
-    use and carried across ``apply_swap``.
+    """Immutable elimination tree of a host graph; the constructor admits
+    no other parent array. Stored as a parent array over the host's dense
+    indices (-1 at the root); children lists are derived once and kept
+    sorted by index so all traversals are deterministic. Subtree masks are
+    computed on first use and carried across ``apply_swap``.
     """
 
     __slots__ = ("graph", "parent", "root", "children", "_key", "_masks")
@@ -64,8 +63,11 @@ class ElimTree:
         self._key: bytes | None = None
         self._masks: list[int] | None = None
         # Reject parent maps with cycles (they never reach the root).
-        if len(_root_first(parent, self.children)) != n:
+        order = _root_first(parent, self.children)
+        if len(order) != n:
             raise InvalidArgument("parent pointers do not form a spanning tree")
+        if _ordering_parent(graph.adj, order) != parent:  # rebuilt from its root-first order
+            raise InvalidArgument("not an elimination tree of the graph")
 
     @classmethod
     def _trusted(
@@ -285,11 +287,8 @@ def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...
 
 
 def is_valid(g: Graph, t: ElimTree) -> bool:
-    """Check that ``t`` is an elimination tree of ``g``: the one built from
-    a linear extension of ``t`` (each vertex after its parent)."""
-    if t.graph.labels != g.labels or not g.is_connected():
-        return False
-    return _ordering_parent(g.adj, _root_first(t.parent, t.children)) == t.parent
+    """Whether ``t``, an elimination tree of its own graph, is one of ``g``."""
+    return t.graph.labels == g.labels and t.graph.adj == g.adj
 
 
 class _Projector:
@@ -317,6 +316,8 @@ def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
     """The projection T|_U: the elimination tree of G[U] in which a is an
     ancestor of b iff a is an ancestor of b in T and a, b are connected in
     G[U] minus the T-ancestors of a."""
+    if not is_valid(g, t):
+        raise InvalidArgument("not an elimination tree of the given graph")
     proj = _Projector(g.adj, g.mask(u))
     subg = induced_subgraph(g, (g.labels[i] for i in proj.index))
     return ElimTree._trusted(subg, proj(_root_first(t.parent, t.children)))
@@ -342,12 +343,9 @@ def parse_tree(g: Graph, text: str) -> ElimTree:
         missing = [g.labels[i] for i, p in enumerate(parent) if p is None]
         raise ParseError(f"missing tree lines for: {missing}")
     try:
-        t = ElimTree(g, parent)  # type: ignore[arg-type]
+        return ElimTree(g, parent)  # type: ignore[arg-type]
     except InvalidArgument as exc:
         raise ParseError(str(exc)) from None
-    if not is_valid(g, t):
-        raise ParseError("not an elimination tree of the graph")
-    return t
 
 
 def format_tree(t: ElimTree) -> str:

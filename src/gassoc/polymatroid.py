@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree
+from .elimtree import ElimTree, is_valid
 from .errors import InvalidArgument, ResourceLimit
 from .flipgraph import explicit_flip_graph
 from .graph import Graph, iter_bits
@@ -165,6 +165,8 @@ def devadoss_coordinates(g: Graph, t: ElimTree) -> dict[str, int]:
     every subtree sums to 3^(size - 2)."""
     if g.n < 2:
         raise InvalidArgument("coordinates require at least two vertices")
+    if not is_valid(g, t):
+        raise InvalidArgument("not an elimination tree of the given graph")
     sizes = (t.subtree_mask(v).bit_count() for v in range(g.n))
     subtree_sum = [3 ** (size - 2) if size > 1 else 0 for size in sizes]
     return {

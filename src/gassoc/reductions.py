@@ -346,6 +346,8 @@ def canonicalize_sequence(
     all projections onto copy selections preserved modulo the same
     renaming.
     """
+    if not is_valid(inst.graph, seq_prime.start):
+        raise InvalidArgument("not an elimination tree of the blow-up graph")
     relabel = {lab: lab for lab in inst.graph.labels}
     tree = seq_prime.start
     moves: list[SwapMove] = []
@@ -369,6 +371,8 @@ def project_sequence(
     whose projection does not move. Raw walks are accepted: a swap of two
     copies of one vertex only exchanges twins (the child copy is the parent
     copy's only child), so it never moves a projection and is dropped."""
+    if not is_valid(inst.graph, seq_prime.start):
+        raise InvalidArgument("not an elimination tree of the blow-up graph")
     g = inst.source
     for v in g.labels:
         if not 1 <= phi.get(v, 0) <= inst.weights[v]:

@@ -16,6 +16,7 @@ K3 = "3 3\n1\n2\n3\n1 2\n2 3\n1 3\n"
 P3 = "3 2\n1\n2\n3\n1 2\n2 3\n"
 CHAIN_123 = "1 -\n2 1\n3 2\n"
 CHAIN_321 = "3 -\n2 3\n1 2\n"
+CHAIN_213 = "2 -\n1 2\n3 1\n"  # spans P3, but is no elimination tree of it
 
 
 @pytest.fixture
@@ -394,7 +395,7 @@ def test_threads_flag_is_accepted(files, capsys):
     "argv, texts, code",
     [
         # a spanning tree of P3 that is not an elimination tree (1-3 is no edge)
-        (["dist", "g", "a", "b", "--path"], {"g": P3, "a": CHAIN_123, "b": "2 -\n1 2\n3 1\n"}, 2),
+        (["dist", "g", "a", "b", "--path"], {"g": P3, "a": CHAIN_123, "b": CHAIN_213}, 2),
         # a second line for label 3
         (["dist", "g", "a", "b"], {"g": P3, "a": CHAIN_123 + "3 1\n", "b": CHAIN_123}, 2),
         (["diameter", "g"], {"g": "2 0\n1\n2\n"}, 3),
@@ -422,6 +423,13 @@ def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+def test_dist_names_a_tree_that_is_not_an_elimination_tree(files, capsys):
+    # the first case above: the ElimTree constructor rejects the chain
+    g, a, b = files("g.txt", P3), files("a.tree", CHAIN_123), files("b.tree", CHAIN_213)
+    assert main(["dist", g, a, b, "--path"]) == 2
+    assert capsys.readouterr() == ("", "parse error: not an elimination tree of the graph\n")
 
 
 NO_NUMPY_SCRIPT = """

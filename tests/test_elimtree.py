@@ -65,8 +65,10 @@ def test_validity_checker():
     assert is_valid(g, t)
     # chain 2 -> 1 -> 3 is not an elimination tree: removing 2 splits
     # the path into {1} and {3}, so both must be children of 2
-    bad = ElimTree(g, [g.index("2"), -1, g.index("1")])
-    assert not is_valid(g, bad)
+    with pytest.raises(InvalidArgument, match="^not an elimination tree of the graph$"):
+        ElimTree(g, [g.index("2"), -1, g.index("1")])
+    # a tree of the star on the same labels is no tree of the path
+    assert not is_valid(g, ElimTree.from_ordering(star_graph(3), g.labels))
 
 
 def test_constructor_rejects_malformed_parent_arrays():
@@ -124,7 +126,7 @@ def test_swap_properties_random(seed, n):
     keys = set()
     for move in moves:
         nb = t.apply_swap(move)
-        assert is_valid(g, nb)
+        assert is_valid(g, ElimTree(g, nb.parent))  # re-admitted by the full check
         keys.add(nb.canonical_key())
         assert nb.apply_swap(move.reversed()).canonical_key() == t.canonical_key()
     # distinct swaps give distinct neighbors
@@ -178,7 +180,9 @@ def test_projection_is_valid_tree():
             p = project(g, t, u)
             from gassoc.graph import induced_subgraph
 
-            assert is_valid(induced_subgraph(g, u), p)
+            h = induced_subgraph(g, u)
+            assert is_valid(h, p)
+            ElimTree(h, p.parent)  # the constructor admits only elimination trees
 
 
 def test_projection_preserves_ancestor_order():

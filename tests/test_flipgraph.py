@@ -255,9 +255,11 @@ def test_validate_sequence_flags_illegal():
 
 
 def test_searches_reject_a_tree_that_is_not_an_elimination_tree():
-    # The chain 2 -> 1 -> 3 spans P3, but 1-3 is no edge of P3.
+    # A tree of the star on P3's labels: 1 and 2 are both children of the
+    # root 3, but 1-3 is no edge of P3.
     g = path_graph(3)
-    bad = ElimTree(g, (1, -1, 0))
+    star = Graph(["1", "2", "3"], [("1", "3"), ("2", "3")])
+    bad = ElimTree.from_ordering(star, ["3", "1", "2"])
     good = ElimTree.from_ordering(g, "123")
     unit = {lab: 1 for lab in g.labels}
     searches = [
@@ -277,7 +279,9 @@ def test_validate_sequence_rejects_a_start_tree_of_another_graph():
     t = ElimTree.from_ordering(other, other.labels)
     with pytest.raises(InvalidArgument, match="not an elimination tree"):
         validate_sequence(path_graph(3), ReconfigSequence(t, ()))
-    with pytest.raises(InvalidArgument, match="not an elimination tree"):
+    # weighted_length replays on the start tree's own graph, and a start tree
+    # that is no elimination tree of it cannot be built
+    with pytest.raises(InvalidArgument, match="not an elimination tree of the graph"):
         weighted_length(ReconfigSequence(ElimTree(path_graph(3), (1, -1, 0)), ()), {})
 
 

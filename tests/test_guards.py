@@ -1,14 +1,22 @@
-"""Argument guards and small branches that no other test reaches.
+"""Argument guards and small branches, in one table.
 
 Each case is a call and what it gives: an exception of exactly that type
-and message, or a return value.
+and message, or a return value. The first rows give every public entry
+point that takes a graph and a tree a tree of another graph.
 """
 
 import pytest
 
-from gassoc.elimtree import ElimTree, SwapMove
+from gassoc.elimtree import ElimTree, SwapMove, project
 from gassoc.errors import IllegalMove, InvalidArgument, ResourceLimit
-from gassoc.flipgraph import ReconfigSequence
+from gassoc.flipgraph import (
+    ReconfigSequence,
+    distance,
+    shortest_path,
+    validate_sequence,
+    weighted_distance,
+    weighted_shortest_path,
+)
 from gassoc.graph import Graph, balanced_min_cut_exists, min_st_cut_value
 from gassoc.polymatroid import (
     TableRank,
@@ -17,12 +25,20 @@ from gassoc.polymatroid import (
     membership,
     verify_realization,
 )
-from gassoc.reductions import build_unweighted_instance, canonicalize_sequence, paper_n
+from gassoc.reductions import (
+    blowup_tree,
+    build_unweighted_instance,
+    canonicalize_sequence,
+    lift_sequence,
+    paper_n,
+    project_sequence,
+)
 from gassoc.smallgraphs import (
     connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
     random_connected_graph,
+    star_graph,
 )
 
 
@@ -40,7 +56,48 @@ def _twin_swap_of_a_non_child():
     return canonicalize_sequence(inst, walk)
 
 
+# P3, one of its trees, and a tree of the star on P3's labels (1-3 is no
+# edge of P3, so it is no elimination tree of P3).
+P3 = path_graph(3)
+P3_TREE = ElimTree.from_ordering(P3, P3.labels)
+STAR_TREE = ElimTree.from_ordering(star_graph(3), P3.labels)
+UNIT = {lab: 1 for lab in P3.labels}
+
+
+def _blowup_of_p3():
+    """The blow-up of P3 with weights (2, 1, 1), and a tree of the path on
+    its labels (b:1:1 - b:2:1 is an edge of the blow-up, not of the path)."""
+    inst = build_unweighted_instance(P3, {"1": 2, "2": 1, "3": 1}, P3_TREE, P3_TREE)
+    labels = inst.graph.labels
+    other = Graph(labels, list(zip(labels, labels[1:])))
+    return inst, ReconfigSequence(ElimTree.from_ordering(other, labels))
+
+
+GIVEN = InvalidArgument("not an elimination tree of the given graph")
+SOURCE = InvalidArgument("not an elimination tree of the source graph")
+BLOWUP = InvalidArgument("not an elimination tree of the blow-up graph")
+
 CASES = {
+    # Every public entry point that takes a graph (or an instance) and a
+    # tree rejects a tree of another graph on the same labels.
+    "distance_other_graph": (lambda: distance(P3, STAR_TREE, P3_TREE), GIVEN),
+    "shortest_path_other_graph": (lambda: shortest_path(P3, P3_TREE, STAR_TREE), GIVEN),
+    "weighted_distance_other_graph": (
+        lambda: weighted_distance(P3, UNIT, STAR_TREE, P3_TREE), GIVEN),
+    "weighted_shortest_path_other_graph": (
+        lambda: weighted_shortest_path(P3, UNIT, P3_TREE, STAR_TREE), GIVEN),
+    "validate_sequence_other_graph": (
+        lambda: validate_sequence(P3, ReconfigSequence(STAR_TREE)), GIVEN),
+    "blowup_tree_other_graph": (lambda: blowup_tree(_blowup_of_p3()[0], STAR_TREE), SOURCE),
+    "lift_sequence_other_graph": (
+        lambda: lift_sequence(_blowup_of_p3()[0], ReconfigSequence(STAR_TREE)), SOURCE),
+    "project_other_graph": (lambda: project(P3, STAR_TREE, ["1", "2"]), GIVEN),
+    "coordinates_other_graph": (lambda: devadoss_coordinates(P3, STAR_TREE), GIVEN),
+    "coordinates_smaller_graph": (lambda: devadoss_coordinates(path_graph(4), P3_TREE), GIVEN),
+    "project_sequence_other_graph": (
+        lambda: project_sequence(*_blowup_of_p3(), {"1": 1, "2": 1, "3": 1}), BLOWUP),
+    "canonicalize_sequence_other_graph": (
+        lambda: canonicalize_sequence(*_blowup_of_p3()), BLOWUP),
     "min_cut_s_equals_t": (
         lambda: min_st_cut_value(path_graph(3), "1", "1"),
         InvalidArgument("s and t must differ"),

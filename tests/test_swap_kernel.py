@@ -26,6 +26,7 @@ from gassoc.elimtree import (
     project,
     swap_neighbors,
 )
+from gassoc.errors import InvalidArgument
 from gassoc.flipgraph import (
     ReconfigSequence, _flip_graph, enumerate_all, explicit_flip_graph, validate_sequence
 )
@@ -266,6 +267,8 @@ def test_flip_graph_core_matches_oracle():
 
 
 def test_is_valid_matches_oracle_on_every_spanning_tree():
+    # The constructor admits a spanning tree exactly when it is an
+    # elimination tree, so every ElimTree is valid for its own graph.
     for n in range(1, 6):
         for g in connected_graphs_up_to_iso(n):
             valid = 0
@@ -275,7 +278,12 @@ def test_is_valid_matches_oracle_on_every_spanning_tree():
                 except ValueError:
                     continue
                 want = oracle_is_valid(g, parent)
-                assert is_valid(g, ElimTree(g, parent)) == want
+                try:
+                    admitted = is_valid(g, ElimTree(g, parent))
+                except InvalidArgument as exc:
+                    assert str(exc) == "not an elimination tree of the graph"
+                    admitted = False
+                assert admitted == want
                 valid += want
             assert valid == len(explicit_flip_graph(g)[0])
 
