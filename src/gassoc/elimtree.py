@@ -9,6 +9,7 @@ G-associahedron.
 from __future__ import annotations
 
 import heapq
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -49,7 +50,10 @@ class ElimTree:
     __slots__ = ("graph", "parent", "root", "children", "_key", "_masks")
 
     def __init__(self, graph: Graph, parent: Sequence[int]):
-        parent = tuple(parent)
+        try:
+            parent = tuple(map(operator.index, parent))
+        except TypeError:
+            raise InvalidArgument("parent index is not an integer") from None
         n = graph.n
         if len(parent) != n:
             raise InvalidArgument("parent array does not span the vertex set")
@@ -59,7 +63,7 @@ class ElimTree:
         if len(roots) != 1:
             raise InvalidArgument(f"expected exactly one root, found {len(roots)}")
         self.graph, self.parent, self.root = graph, parent, roots[0]
-        self.children: tuple[tuple[int, ...], ...] = _children(parent)
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, _children(parent)))
         self._key: bytes | None = None
         self._masks: list[int] | None = None
         # Reject parent maps with cycles (they never reach the root).
@@ -78,7 +82,7 @@ class ElimTree:
         a projection onto a connected set), valid by construction: no checks."""
         tree = object.__new__(cls)
         tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
-        tree.children = _children(parent) if children is None else children
+        tree.children = tuple(map(tuple, _children(parent))) if children is None else children
         tree._key, tree._masks = key, masks
         return tree
 
@@ -208,29 +212,31 @@ def _unpack(key: bytes) -> array:
     return array("l", key)
 
 
-def _children(parent: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _children(parent: Sequence[int]) -> list[list[int]]:
     kids: list[list[int]] = [[] for _ in parent]
     for i, p in enumerate(parent):
         if p >= 0:
             kids[p].append(i)
-    return tuple(map(tuple, kids))
+    return kids
 
 
 def _root_first(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
     """The vertices reachable from the root, each after its parent."""
     order = [parent.index(-1)]
     for v in order:  # the list grows while it is scanned
-        order.extend(children[v])
+        order += children[v]
     return order
+
+
+_BITS = [1 << i for i in range(64)]  # sliced per state, not rebuilt
 
 
 def _subtree_masks(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
     """The subtree mask of every vertex, by one bottom-up pass."""
-    sub = [1 << i for i in range(len(parent))]
-    for v in reversed(_root_first(parent, children)):
-        p = parent[v]
-        if p >= 0:
-            sub[p] |= sub[v]
+    n = len(parent)
+    sub = _BITS[:n] if n <= len(_BITS) else [1 << i for i in range(n)]
+    for v in _root_first(parent, children)[:0:-1]:
+        sub[parent[v]] |= sub[v]
     return sub
 
 
@@ -240,10 +246,11 @@ def _swapped(adj, parent, children, sub, u: int, v: int):
     nb = parent[:]
     nb[v] = parent[u]
     nb[u] = v
-    adj_u = adj[u]
-    for c in children[v]:
-        if sub[c] & adj_u:
-            nb[c] = u
+    if children[v]:  # a leaf v has no child subtree to move below u
+        adj_u = adj[u]
+        for c in children[v]:
+            if sub[c] & adj_u:
+                nb[c] = u
     return nb
 
 

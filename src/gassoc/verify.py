@@ -94,14 +94,16 @@ def verify_projection_suite(max_n: int = 5) -> SuiteReport:
                 t.canonical_key(): [_pack(p(_root_first(t.parent, t.children))) for p in projs]
                 for t in enumerate_all(g)
             }
+            # The swap kernel on G[U], not the projection, says what
+            # swap(u, v) does to T|_U (for u, v both in U): each tree of
+            # G[U] is expanded once, not once per tree of G.
+            swaps = [{p1: set(swap_neighbors(p.adj, p1)) for p1 in set(column)}
+                     for p, column in zip(projs, zip(*images.values()))]
             for key, before in images.items():
-                # The swap kernel on G[U], not the projection, says what
-                # swap(u, v) does to T|_U (for u, v both in U).
-                swaps = [set(swap_neighbors(p.adj, p1)) for p, p1 in zip(projs, before)]
                 for u, v, nk in swap_neighbors(g.adj, key):
                     for p, p1, p2, p_swaps in zip(projs, before, images[nk], swaps):
                         report.checked += 1
-                        if p2 == p1 or (p.index.get(u), p.index.get(v), p2) in p_swaps:
+                        if p2 == p1 or (p.index.get(u), p.index.get(v), p2) in p_swaps[p1]:
                             continue
                         report.failures.append(
                             f"n={n} edges={g.edges} U={[g.labels[i] for i in p.index]} "

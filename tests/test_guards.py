@@ -98,6 +98,15 @@ CASES = {
         lambda: project_sequence(*_blowup_of_p3(), {"1": 1, "2": 1, "3": 1}), BLOWUP),
     "canonicalize_sequence_other_graph": (
         lambda: canonicalize_sequence(*_blowup_of_p3()), BLOWUP),
+    # The constructor admits integer parent indices only, and stores ints.
+    "tree_float_parent": (
+        lambda: ElimTree(P3, [1.0, -1, 1]), InvalidArgument("parent index is not an integer")),
+    "tree_str_parent": (
+        lambda: ElimTree(P3, [1, -1, "1"]), InvalidArgument("parent index is not an integer")),
+    "tree_bool_parent": (
+        lambda: [(type(p), p) for p in ElimTree(P3, [True, -1, 1]).parent],
+        [(int, 1), (int, -1), (int, 1)],
+    ),
     "min_cut_s_equals_t": (
         lambda: min_st_cut_value(path_graph(3), "1", "1"),
         InvalidArgument("s and t must differ"),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from gassoc.elimtree import (
     ElimTree,
     SwapMove,
+    _children,
     _ordering_parent,
     _root_first,
     _subtree_masks,
@@ -215,6 +216,25 @@ def test_kernel_matches_oracle_random(n, p, seed, order, walk):
         assert tree.parent == parent
     assert_kernel_matches(g, parent)
     assert_masks_match(g, tree)
+
+
+def test_kernel_and_masks_match_oracle_around_64_vertices():
+    # _subtree_masks copies the masks of the first 64 vertices from a table
+    # and builds any further ones: graphs on both sides of that limit, with
+    # the kernel's own child lists, along short seeded walks.
+    for n in (63, 64, 65, 70):
+        for g in (path_graph(n), random_connected_graph(n, 0.05, n)):
+            rng = random.Random(n)
+            labels = list(g.labels)
+            rng.shuffle(labels)
+            parent = ElimTree.from_ordering(g, labels).parent
+            for _ in range(4):
+                assert_kernel_matches(g, parent)
+                kids = oracle_children(g, parent)
+                assert _subtree_masks(parent, _children(parent)) == [
+                    oracle_subtree(kids, i) for i in range(n)
+                ]
+                parent = rng.choice(oracle_neighbors(g, parent))[2]
 
 
 def assert_masks_match(g, tree):
