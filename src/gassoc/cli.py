@@ -114,8 +114,8 @@ def cmd_reduce_cut(args) -> int:
     bound = threshold(inst)
     payload = {"lambda": inst.cut_value, "threshold": str(bound)}
     if seq is not None:
-        # Built move by move through apply_swap, which rejects an illegal
-        # move, so the sequence needs no second replay.
+        # Built move by move on a replay that rejects an illegal move, so
+        # the sequence needs no second replay.
         weight = moves_weight(seq.moves, inst.weights)
         payload["sequence_weight"] = str(weight)
         payload["below_threshold"] = weight < bound

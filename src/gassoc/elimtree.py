@@ -44,7 +44,7 @@ class ElimTree:
     no other parent array. Stored as a parent array over the host's dense
     indices (-1 at the root); children lists are derived once and kept
     sorted by index so all traversals are deterministic. Subtree masks are
-    computed on first use and carried across ``apply_swap``.
+    computed on first use and carried across a replay (``_Replay``).
     """
 
     __slots__ = ("graph", "parent", "root", "children", "_key", "_masks")
@@ -75,14 +75,14 @@ class ElimTree:
 
     @classmethod
     def _trusted(
-        cls, graph: Graph, parent: tuple[int, ...], children=None,
+        cls, graph: Graph, parent: tuple[int, ...],
         key: bytes | None = None, masks: list[int] | None = None,
     ) -> "ElimTree":
         """A tree built by rule (a swap, a vertex order on a connected graph,
         a projection onto a connected set), valid by construction: no checks."""
         tree = object.__new__(cls)
         tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
-        tree.children = tuple(map(tuple, _children(parent))) if children is None else children
+        tree.children = tuple(map(tuple, _children(parent)))
         tree._key, tree._masks = key, masks
         return tree
 
@@ -151,24 +151,9 @@ class ElimTree:
 
     def apply_swap(self, move: SwapMove) -> "ElimTree":
         """Apply swap(u, v), exchanging child v with its parent u."""
-        g = self.graph
-        iu, iv = g.index(move.u), g.index(move.v)
-        if self.parent[iv] != iu:
-            raise IllegalMove(f"{move.v!r} is not a child of {move.u!r}")
-        kids = self.children
-        sub = self._all_masks()
-        parent = tuple(_swapped(g.adj, list(self.parent), kids, sub, iu, iv))
-        # Only u, v and the old parent of u get new children, and only u
-        # and v new subtrees: v takes u's, and u keeps it minus v's, plus
-        # the child subtrees of v that move below u.
-        near = kids[iu] + kids[iv] + (iu, iv)
-        new = list(kids)
-        for x in {iu, iv, self.parent[iu]} - {-1}:
-            new[x] = tuple(sorted({c for c in near + kids[x] if parent[c] == x}))
-        masks = list(sub)
-        masks[iv] = sub[iu]
-        masks[iu] = sub[iu] & ~sub[iv] | sum(sub[c] for c in kids[iv] if parent[c] == iu)
-        return ElimTree._trusted(g, parent, tuple(new), masks=masks)
+        replay = _Replay(self)
+        replay.swap(move.u, move.v)
+        return replay.tree()
 
     # -- encodings ------------------------------------------------------
 
@@ -241,8 +226,8 @@ def _subtree_masks(parent: Sequence[int], children: Sequence[Sequence[int]]) -> 
 
 
 def _swapped(adj, parent, children, sub, u: int, v: int):
-    """A copy of the parent list or array after swap(u, v); ``sub[c]`` is
-    the subtree mask of each child c of v."""
+    """A copy of the parent array after swap(u, v); ``sub[c]`` is the
+    subtree mask of each child c of v."""
     nb = parent[:]
     nb[v] = parent[u]
     nb[u] = v
@@ -291,6 +276,49 @@ def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...
             parent[x] = top[x] = v
         done |= 1 << v
     return tuple(parent)
+
+
+class _Replay:
+    """A mutable elimination tree for replaying swaps one by one: a parent
+    list, child sets and subtree masks. A swap updates only u, v, u's old
+    parent and the children of v that move, so a sequence costs the tree
+    degrees it passes, not n per move."""
+
+    __slots__ = ("graph", "parent", "children", "masks")
+
+    def __init__(self, tree: ElimTree):
+        self.graph = tree.graph
+        self.parent = list(tree.parent)
+        self.children = [set(c) for c in tree.children]
+        self.masks = list(tree._all_masks())
+
+    def swap(self, u: str, v: str) -> None:
+        """Swap child v with its parent u, by the kernel's rule: a child
+        subtree of v moves below u iff it touches u."""
+        g, parent, kids, sub = self.graph, self.parent, self.children, self.masks
+        iu, iv = g.index(u), g.index(v)
+        if parent[iv] != iu:
+            raise IllegalMove(f"{v!r} is not a child of {u!r}")
+        moved = [c for c in kids[iv] if sub[c] & g.adj[iu]]
+        top = parent[iu]
+        if top >= 0:
+            kids[top].remove(iu)
+            kids[top].add(iv)
+        parent[iv], parent[iu] = top, iv
+        kids[iu].remove(iv)
+        kids[iv].add(iu)
+        # v takes u's subtree; u keeps it minus v's, plus the moved subtrees.
+        mask_u = sub[iu] & ~sub[iv]
+        for c in moved:
+            parent[c] = iu
+            kids[iv].remove(c)
+            kids[iu].add(c)
+            mask_u |= sub[c]
+        sub[iv], sub[iu] = sub[iu], mask_u
+
+    def tree(self) -> ElimTree:
+        """The tree reached; it takes over the masks, so the replay ends."""
+        return ElimTree._trusted(self.graph, tuple(self.parent), masks=self.masks)
 
 
 def is_valid(g: Graph, t: ElimTree) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove, _unpack, is_valid, swap_neighbors
+from .elimtree import ElimTree, SwapMove, _Replay, _unpack, is_valid, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
 from .graph import Graph, check_weights
 
@@ -54,13 +54,13 @@ def validate_sequence(g: Graph, seq: ReconfigSequence) -> tuple[bool, ElimTree]:
     """
     if not is_valid(g, seq.start):
         raise InvalidArgument("not an elimination tree of the given graph")
-    tree = seq.start
+    replay = _Replay(seq.start)
     for move in seq.moves:
         try:
-            tree = tree.apply_swap(move)
+            replay.swap(move.u, move.v)
         except InvalidArgument:
-            return False, tree
-    return True, tree
+            return False, replay.tree()
+    return True, replay.tree()
 
 
 def moves_weight(moves: Iterable[SwapMove], w: Mapping[str, int]) -> int:

@@ -314,7 +314,4 @@ def check_weights(g: Graph, w: Mapping[str, int]) -> None:
 
 
 def format_graph(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(g.labels)
-    out.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(out) + "\n"
+    return "\n".join([f"{g.n} {g.m}", *g.labels, *map(" ".join, g.edges)]) + "\n"

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
-    ElimTree, SwapMove, _Projector, _root_first, format_tree, is_valid, parse_tree
+    ElimTree, SwapMove, _Projector, _Replay, _root_first, format_tree, is_valid, parse_tree
 )
 from .errors import IllegalMove, InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence, validate_sequence
@@ -195,18 +195,19 @@ def threshold(inst: WeightedInstance) -> int:
 
 
 def _bubble_up(
-    tree: ElimTree, order: Sequence[str], climb, moves: list[SwapMove]
-) -> ElimTree:
+    replay: _Replay, order: Sequence[str], climb, moves: list[SwapMove]
+) -> None:
     """Swap each vertex of ``order`` in turn with its parent p while
-    ``climb(p, the vertices before it in order)`` holds; appends the swaps
-    to ``moves`` and returns the tree reached."""
+    ``climb(p, the vertices before it in order)`` holds, in place; appends
+    the swaps to ``moves``."""
+    labels, parent = replay.graph.labels, replay.parent
     before: set[str] = set()
     for u in order:
-        while (p := tree.parent_of(u)) is not None and climb(p, before):
-            moves.append(SwapMove(p, u))
-            tree = tree.apply_swap(moves[-1])
+        i = replay.graph.index(u)
+        while (p := parent[i]) >= 0 and climb(labels[p], before):
+            moves.append(SwapMove(labels[p], u))
+            replay.swap(labels[p], u)
         before.add(u)
-    return tree
 
 
 def _not_lifted(p: str, lifted: set[str]) -> bool:
@@ -228,7 +229,11 @@ def sufficiency_sequence(
     sum 4*lambda*N^7 + n(n-1)*N^2 + 4*lambda*n*N + 2*lambda*m, which is
     below ``threshold`` when N^2 > 4*lambda*n*N + 2*lambda*m."""
     g = inst.source
-    xset = frozenset(x)
+    xset: set[str] = set()
+    for v in x:
+        if v in xset:
+            raise InvalidArgument(f"duplicate label in X: {v!r}")
+        xset.add(v)
     cut = set(cut_edges(g, xset))
     if inst.s not in xset or inst.t in xset:
         raise InvalidArgument("X must contain s and avoid t")
@@ -243,15 +248,17 @@ def sufficiency_sequence(
     # A lifted vertex climbs past every vertex not lifted before it; then
     # each original climbs past the originals before it on its side.
     moves: list[SwapMove] = []
-    tree = _bubble_up(inst.t_ini, lift_order, _not_lifted, moves)
+    tree = _Replay(inst.t_ini)
+    _bubble_up(tree, lift_order, _not_lifted, moves)
     inner = [v for v in g.labels if v not in (inst.s, inst.t)]
-    for side in (xset, frozenset(g.labels) - xset):
+    for side in (xset, set(g.labels) - xset):
         vs = [f"v:{v}" for v in inner if v in side]
-        tree = _bubble_up(tree, vs, lambda p, before: p in before, moves)
+        _bubble_up(tree, vs, lambda p, before: p in before, moves)
 
     back_moves: list[SwapMove] = []
-    tree_from_tar = _bubble_up(inst.t_tar, lift_order, _not_lifted, back_moves)
-    if tree.canonical_key() != tree_from_tar.canonical_key():
+    tree_from_tar = _Replay(inst.t_tar)
+    _bubble_up(tree_from_tar, lift_order, _not_lifted, back_moves)
+    if tree.parent != tree_from_tar.parent:
         raise AssertionError("lifted trees from both ends disagree")
     moves.extend(mv.reversed() for mv in reversed(back_moves))
     return ReconfigSequence(inst.t_ini, tuple(moves))
@@ -314,11 +321,11 @@ def blowup_tree(inst: BlowupInstance, t: ElimTree) -> ElimTree:
 def lift_sequence(inst: BlowupInstance, seq: ReconfigSequence) -> ReconfigSequence:
     """Replace each swap(u, v) by the w(u) * w(v) swaps that carry the
     v-copies block past the u-copies block, copy by copy."""
-    tree = seq.start
-    start_prime = blowup_tree(inst, tree)
+    start_prime = blowup_tree(inst, seq.start)
+    tree = _Replay(seq.start)
     moves: list[SwapMove] = []
     for mv in seq.moves:
-        tree = tree.apply_swap(mv)  # raises IllegalMove on an invalid source move
+        tree.swap(mv.u, mv.v)  # raises IllegalMove on an invalid source move
         ucopies = inst.copy_map[mv.u]
         vcopies = inst.copy_map[mv.v]
         for vc in vcopies:
@@ -327,7 +334,7 @@ def lift_sequence(inst: BlowupInstance, seq: ReconfigSequence) -> ReconfigSequen
     lifted = ReconfigSequence(start_prime, tuple(moves))
     # The lifted walk must be legal and land on the blow-up of the final tree.
     ok, end = validate_sequence(inst.graph, lifted)
-    if not ok or end.canonical_key() != blowup_tree(inst, tree).canonical_key():
+    if not ok or end.canonical_key() != blowup_tree(inst, tree.tree()).canonical_key():
         raise AssertionError("lifted sequence does not reach the blown-up target")
     return lifted
 
@@ -348,19 +355,19 @@ def canonicalize_sequence(
     """
     if not is_valid(inst.graph, seq_prime.start):
         raise InvalidArgument("not an elimination tree of the blow-up graph")
+    index = inst.graph.index
     relabel = {lab: lab for lab in inst.graph.labels}
-    tree = seq_prime.start
+    tree = _Replay(seq_prime.start)
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         a, b = relabel[mv.u], relabel[mv.v]
         if inst.source_of(mv.u) == inst.source_of(mv.v):
-            if tree.parent_of(b) != a:
+            if tree.parent[index(b)] != index(a):
                 raise IllegalMove(f"{mv.v!r} is not a child of {mv.u!r}")
             relabel[mv.u], relabel[mv.v] = relabel[mv.v], relabel[mv.u]
             continue
-        mvc = SwapMove(a, b)
-        tree = tree.apply_swap(mvc)
-        moves.append(mvc)
+        tree.swap(a, b)
+        moves.append(SwapMove(a, b))
     return ReconfigSequence(seq_prime.start, tuple(moves))
 
 
@@ -381,15 +388,16 @@ def project_sequence(
     # indices are the source indices and T'|_U is a parent tuple over G.
     gp = inst.graph
     proj = _Projector(gp.adj, gp.mask(inst.copy_map[v][phi[v] - 1] for v in g.labels))
-    tree_prime = seq_prime.start
-    start = tree = ElimTree._trusted(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
+    tree_prime = _Replay(seq_prime.start)
+    start = ElimTree._trusted(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
+    tree = _Replay(start)
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
-        tree_prime = tree_prime.apply_swap(mv)
-        nxt = proj(_root_first(tree_prime.parent, tree_prime.children))
+        tree_prime.swap(mv.u, mv.v)
+        nxt = list(proj(_root_first(tree_prime.parent, tree_prime.children)))
         if nxt != tree.parent:
             smv = SwapMove(inst.source_of(mv.u), inst.source_of(mv.v))
-            tree = tree.apply_swap(smv)
+            tree.swap(smv.u, smv.v)
             if tree.parent != nxt:
                 raise AssertionError("projection changed by a non-swap step")
             moves.append(smv)

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .elimtree import ElimTree, SwapMove, _Projector, _pack, _root_first, swap_neighbors
+from .elimtree import ElimTree, SwapMove, _Projector, _Replay, _pack, _root_first, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
     _flip_graph,
@@ -171,20 +171,22 @@ def reversal_violations(seq: ReconfigSequence) -> list[tuple[int, int, str, str]
     i, the order is reversed after step j, and no two-subdivision swap
     occurs in moves i..j.
     """
-    trees = [seq.start]
+    tree = _Replay(seq.start)
+    us = [(lab, i) for i, lab in enumerate(tree.graph.labels) if lab.startswith("u:")]
+
+    def ancestor_pairs():
+        sub = tree.masks  # a is a strict ancestor of b iff b is in a's subtree
+        return {(a, b) for a, i in us for b, j in us if i != j and sub[i] >> j & 1}
+
+    anc = [ancestor_pairs()]
     for mv in seq.moves:
-        trees.append(trees[-1].apply_swap(mv))
-    g = trees[0].graph
-    us = [lab for lab in g.labels if lab.startswith("u:")]
-    anc = [
-        {(a, b) for a in us for b in us if a != b and a in t.ancestors(b)}
-        for t in trees
-    ]
+        tree.swap(mv.u, mv.v)
+        anc.append(ancestor_pairs())
     uu_step = [mv.u.startswith("u:") and mv.v.startswith("u:") for mv in seq.moves]
     out = []
-    for i in range(len(trees)):
+    for i in range(len(anc)):
         pairs = sorted(anc[i])
-        for j in range(i + 1, len(trees)):
+        for j in range(i + 1, len(anc)):
             if uu_step[j - 1]:  # every later j spans this swap too
                 break
             out.extend((i, j, a, b) for a, b in pairs if (b, a) in anc[j])

@@ -263,6 +263,16 @@ def test_reduce_cut_rejects_a_side_that_is_not_a_minimum_cut(files, capsys, tmp_
     assert not out.exists()
 
 
+def test_reduce_cut_rejects_a_repeated_label_in_x(files, capsys, tmp_path):
+    # X = s,a,a would otherwise be read as the balanced minimum cut {s, a}
+    out = tmp_path / "out"
+    code = main(["reduce", "cut", files("p4.txt", P4), "s", "t", str(out),
+                 "--N", "2", "--sufficiency", "s,a,a"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: duplicate label in X: 'a'\n"
+    assert not out.exists()
+
+
 def test_an_empty_option_value_is_read_not_ignored(files, capsys, tmp_path):
     g, t1, t2 = files("g.txt", P3), files("t1.tree", CHAIN_123), files("t2.tree", CHAIN_321)
     assert main(["dist", g, t1, t2, "--weights", ""]) == 2

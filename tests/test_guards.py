@@ -28,10 +28,12 @@ from gassoc.polymatroid import (
 from gassoc.reductions import (
     blowup_tree,
     build_unweighted_instance,
+    build_weighted_instance,
     canonicalize_sequence,
     lift_sequence,
     paper_n,
     project_sequence,
+    sufficiency_sequence,
 )
 from gassoc.smallgraphs import (
     connected_graphs_up_to_iso,
@@ -143,6 +145,11 @@ CASES = {
     "paper_n_odd": (
         lambda: paper_n(path_graph(3)),
         InvalidArgument("source graph must have an even number >= 2 of vertices"),
+    ),
+    "sufficiency_duplicate_label": (
+        lambda: sufficiency_sequence(
+            build_weighted_instance(path_graph(4), "1", "4", N=2), ["1", "2", "2"]),
+        InvalidArgument("duplicate label in X: '2'"),
     ),
     "canonicalize_twin_swap": (
         _twin_swap_of_a_non_child,

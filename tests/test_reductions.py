@@ -130,6 +130,22 @@ def test_sufficiency_sequence_below_threshold_when_n_large_enough():
     assert weighted_length(seq, inst.weights) < threshold(inst)
 
 
+# sha256 of the sufficiency.moves text ("u v" per line) at N = 6, X = {s, v1}.
+SUFFICIENCY_MOVES_SHA256 = {
+    "path": (870, "66f35d620a3b20a3098563ca617d587fdb4615c69d1f3443b45a2b855a65fba9"),
+    "cycle": (1742, "a914eff5ec9a3aafeaf5fc00e52164bc8ccf6fb86dfbdae662ba89c804ea3583"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUFFICIENCY_MOVES_SHA256))
+def test_sufficiency_moves_are_pinned(name):
+    source = {"path": path_source, "cycle": cycle_source}[name]()
+    seq = sufficiency_sequence(build_weighted_instance(source, "s", "t", N=6), ["s", "v1"])
+    text = "".join(f"{m.u} {m.v}\n" for m in seq.moves)
+    assert (len(seq.moves), hashlib.sha256(text.encode()).hexdigest()) == (
+        SUFFICIENCY_MOVES_SHA256[name])
+
+
 def test_sufficiency_rejects_bad_cuts():
     inst = build_weighted_instance(cycle_source(), "s", "t", N=2)
     with pytest.raises(InvalidArgument):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from gassoc.elimtree import (
     ElimTree,
     SwapMove,
+    _Replay,
     _children,
     _ordering_parent,
     _root_first,
@@ -207,13 +208,17 @@ def test_kernel_matches_oracle_random(n, p, seed, order, walk):
     labels = list(g.labels)
     order.shuffle(labels)
     tree = ElimTree.from_ordering(g, labels)
+    replay = _Replay(tree)  # one replay along the whole walk
     parent = tree.parent
     for step in walk:
         assert_kernel_matches(g, parent)
         assert_masks_match(g, tree)
+        move = tree.enumerate_swaps()[step % (n - 1)]
         parent = oracle_neighbors(g, parent)[step % (n - 1)][2]
-        tree = tree.apply_swap(tree.enumerate_swaps()[step % (n - 1)])
+        tree = tree.apply_swap(move)
+        replay.swap(move.u, move.v)
         assert tree.parent == parent
+        assert_replay_matches(g, replay, parent)
     assert_kernel_matches(g, parent)
     assert_masks_match(g, tree)
 
@@ -227,14 +232,25 @@ def test_kernel_and_masks_match_oracle_around_64_vertices():
             rng = random.Random(n)
             labels = list(g.labels)
             rng.shuffle(labels)
-            parent = ElimTree.from_ordering(g, labels).parent
+            tree = ElimTree.from_ordering(g, labels)
+            replay, parent = _Replay(tree), tree.parent
             for _ in range(4):
                 assert_kernel_matches(g, parent)
                 kids = oracle_children(g, parent)
                 assert _subtree_masks(parent, _children(parent)) == [
                     oracle_subtree(kids, i) for i in range(n)
                 ]
-                parent = rng.choice(oracle_neighbors(g, parent))[2]
+                u, v, parent, _ = rng.choice(oracle_neighbors(g, parent))
+                replay.swap(g.labels[u], g.labels[v])
+                assert_replay_matches(g, replay, parent)
+
+
+def assert_replay_matches(g, replay, parent):
+    """A replay's parent list, child sets and masks against the oracle."""
+    kids = oracle_children(g, parent)
+    assert tuple(replay.parent) == parent
+    assert [sorted(c) for c in replay.children] == kids
+    assert replay.masks == [oracle_subtree(kids, i) for i in range(g.n)]
 
 
 def assert_masks_match(g, tree):
@@ -249,10 +265,16 @@ def test_masks_carried_along_a_sufficiency_sequence():
     source = Graph(["s", "v1", "v2", "t"], [("s", "v1"), ("v1", "v2"), ("v2", "t")])
     inst = build_weighted_instance(source, "s", "t", N=3)
     seq = sufficiency_sequence(inst, ["s", "v1"])
-    assert len(seq.moves) > 100
-    ok, final = validate_sequence(inst.graph, seq)
-    assert ok and final.parent == inst.t_tar.parent
-    carried = [final.subtree_mask(i) for i in range(inst.graph.n)]
+    assert len(seq.moves) == 114
+    g, parent = inst.graph, inst.t_ini.parent
+    replay = _Replay(inst.t_ini)
+    for mv in seq.moves:  # every step against the oracle, not only the end
+        parent = oracle_swap(g, parent, g.index(mv.u), g.index(mv.v))
+        replay.swap(mv.u, mv.v)
+        assert_replay_matches(g, replay, parent)
+    ok, final = validate_sequence(g, seq)
+    assert ok and final.parent == parent == inst.t_tar.parent
+    carried = [final.subtree_mask(i) for i in range(g.n)]
     assert carried == _subtree_masks(final.parent, final.children)
 
 
