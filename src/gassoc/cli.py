@@ -17,8 +17,7 @@ from .elimtree import format_tree, parse_tree, project
 from .errors import InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import (
     DEFAULT_NODE_BUDGET,
-    _flip_graph,
-    adjacency_diameter,
+    _diameter,
     distance,
     enumerate_all,
     flip_graph_dot,
@@ -74,12 +73,10 @@ def cmd_dist(args) -> int:
 def cmd_diameter(args) -> int:
     g = parse_graph(_read_text(args.graph))
     start = time.monotonic()
-    # Eccentricities do not depend on the numbering: no trees, no sort.
-    adj = _flip_graph(g, args.node_budget)[1]
-    d = adjacency_diameter(adj)
+    d, trees = _diameter(g, args.node_budget)
     elapsed = time.monotonic() - start
-    payload = {"diameter": d, "vertices": len(adj), "seconds": round(elapsed, 3)}
-    _emit(args, payload, f"diameter {d}\nvertices {len(adj)}\nseconds {elapsed:.3f}")
+    payload = {"diameter": d, "vertices": trees, "seconds": round(elapsed, 3)}
+    _emit(args, payload, f"diameter {d}\nvertices {trees}\nseconds {elapsed:.3f}")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, SwapMove, _Replay, _unpack, is_valid, swap_neighbors
 from .errors import InvalidArgument, ResourceLimit
-from .graph import Graph, check_weights
+from .graph import Graph, automorphism_generators, check_weights
 
 __all__ = [
     "ReconfigSequence",
@@ -321,16 +321,59 @@ def diameter(
     exact_allpairs: bool = False,
     cap: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """Exact flip-graph diameter: the largest eccentricity, every one computed
-    by the bit-parallel BFS kernel. ``exact_allpairs`` is accepted for
-    compatibility and changes nothing; there is only this one mode.
+    """Exact flip-graph diameter: the largest eccentricity, one computed per
+    Aut(g)-orbit of trees by the bit-parallel BFS kernel. ``exact_allpairs``
+    is accepted for compatibility and changes nothing; there is only this
+    one mode.
     """
-    return adjacency_diameter(_flip_graph(g, cap)[1])
+    return _diameter(g, cap)[0]
 
 
-def adjacency_diameter(adj: list[list[int]]) -> int:
-    """Diameter of a connected explicit graph: its largest eccentricity."""
-    return max(_eccentricities(adj, range(len(adj))))
+def _diameter(g: Graph, cap: int) -> tuple[int, int]:
+    """The flip graph's diameter and its number of trees. An automorphism of
+    ``g`` maps swaps to swaps, so it is one of the flip graph and keeps
+    eccentricities: one source per orbit of trees suffices. Eccentricities
+    do not depend on the numbering, so no tree is built and nothing sorted."""
+    import numpy as np
+
+    keys, rows = _flip_graph(g, cap)
+    label = _tree_orbits(g, keys)
+    sources = np.flatnonzero(label == np.arange(len(keys)))
+    return max(_eccentricities(rows, sources)), len(keys)
+
+
+def _tree_orbits(g: Graph, keys: Sequence[bytes]):
+    """For trees of ``g`` given by their keys, a set closed under Aut(g), the
+    smallest index in each one's orbit as a numpy array. An automorphism
+    sigma maps the tree with parent array p to the one with parent
+    p'[sigma(i)] = sigma(p[i]); each mapped row is matched back to its index
+    by sorting both row sets, so the match is exact at any n."""
+    import numpy as np
+
+    label = np.arange(len(keys))
+    gens = automorphism_generators(g)
+    if not gens:
+        return label
+    trees = np.asarray(_unpack(b"".join(keys))).reshape(len(keys), g.n)
+    order = np.lexsort(trees.T)
+    perms = []
+    for sigma in gens:
+        image = np.empty_like(trees)
+        image[:, sigma] = np.array([*sigma, -1])[trees]  # the root's -1 stays
+        image_order = np.lexsort(image.T)
+        if not np.array_equal(trees[order], image[image_order]):
+            raise AssertionError("the trees are not closed under Aut(G)")
+        perm = np.empty_like(label)
+        perm[image_order] = order  # tree image_order[r] maps to tree order[r]
+        perms.append(perm)
+    while True:  # min over each orbit: pull labels along every generator, then jump
+        new = label
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def flip_graph_dot(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> str:

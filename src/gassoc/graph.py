@@ -23,6 +23,7 @@ __all__ = [
     "cut_edges",
     "min_st_cut_value",
     "balanced_min_cut_exists",
+    "automorphism_generators",
     "parse_graph",
     "format_graph",
 ]
@@ -79,9 +80,9 @@ class Graph:
         g = cls(vertices, edges)
         edge_list = list(g.edges)
         for clique in cliques:
-            cmask = g.mask(clique)
-            if cmask.bit_count() != len(clique):
+            if len(set(clique)) != len(clique):
                 raise InvalidArgument("self-loop: a clique lists a vertex twice")
+            cmask = g.mask(clique)
             for i in iter_bits(cmask):
                 if g.adj[i] & cmask:
                     raise InvalidArgument(f"parallel edge at {g.labels[i]!r} inside a clique")
@@ -105,9 +106,13 @@ class Graph:
             raise InvalidArgument(f"unknown vertex label: {label!r}") from None
 
     def mask(self, labels: Iterable[str]) -> int:
+        """The bitmask of a set of labels; a label given twice raises."""
         m = 0
         for lab in labels:
-            m |= 1 << self.index(lab)
+            bit = 1 << self.index(lab)
+            if m & bit:
+                raise InvalidArgument(f"duplicate vertex label: {lab!r}")
+            m |= bit
         return m
 
     def has_edge(self, a: str, b: str) -> bool:
@@ -231,6 +236,96 @@ def balanced_min_cut_exists(g: Graph, s: str, t: str) -> tuple[bool, frozenset[s
         if len(cut_edges(g, (s, *chosen))) == lam:
             return True, frozenset((s, *chosen))
     return False, None
+
+
+def _refine(adj: Sequence[int], cells: list[list[int]]) -> tuple[list[list[int]], list]:
+    """Colour refinement: split every cell by each vertex's number of
+    neighbours in every cell, in signature order, until no cell splits.
+    Returns the stable cells and the trace of signatures and part sizes,
+    which the images of one partition under an automorphism share."""
+    trace: list = []
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sig = {v: tuple((adj[v] & m).bit_count() for m in masks) for v in cell}
+            for s in sorted(set(sig.values())):
+                part = [v for v in cell if sig[v] == s]
+                out.append(part)
+                trace.append((s, len(part)))
+        if len(out) == len(cells):
+            return out, trace
+        cells = out
+
+
+def _individualize(cells: list[list[int]], k: int, v: int) -> list[list[int]]:
+    """The cells with vertex v, of cell k, split off into a cell before it."""
+    return [*cells[:k], [v], [x for x in cells[k] if x != v], *cells[k + 1 :]]
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of ``g``, each a tuple sigma of
+    vertex indices (i is mapped to sigma[i]); none for a rigid graph.
+
+    Backtracking with colour refinement along a base b_1, b_2, ... (the
+    first vertex of the first non-singleton cell, individualized and
+    refined in turn). From the deepest level up, each image of b_j in its
+    cell that the generators found so far do not reach is tried once: an
+    automorphism fixing b_1..b_{j-1} and mapping b_j there is added if one
+    exists. So the generators reach the whole orbit of b_j under the
+    stabilizer of b_1..b_{j-1} at every level, and generate the group."""
+    adj, n = g.adj, g.n
+    path = [_refine(adj, [list(range(n))] if n else [])]
+    base = []  # (cell index, base point) per level
+    while (k := next((i for i, c in enumerate(path[-1][0]) if len(c) > 1), None)) is not None:
+        v = path[-1][0][k][0]
+        base.append((k, v))
+        path.append(_refine(adj, _individualize(path[-1][0], k, v)))
+    leaf = [cell[0] for cell in path[-1][0]]
+
+    def extend(level: int, cells: list[list[int]], images=None) -> tuple[int, ...] | None:
+        """An automorphism that maps the base path's leaf to a leaf below
+        ``cells``, a partition matched to the path at ``level``, trying
+        ``images`` (default: its whole cell) for this level's base point."""
+        if level == len(base):
+            sigma = [0] * n
+            for a, cell in zip(leaf, cells):
+                sigma[a] = cell[0]
+            if all(adj[sigma[v]] == sum(1 << sigma[u] for u in iter_bits(adj[v]))
+                   for v in range(n)):
+                return tuple(sigma)
+            return None
+        k = base[level][0]
+        for x in cells[k] if images is None else images:
+            nxt, trace = _refine(adj, _individualize(cells, k, x))
+            if trace == path[level + 1][1] and (found := extend(level + 1, nxt)):
+                return found
+        return None
+
+    gens: list[tuple[int, ...]] = []
+    for level in reversed(range(len(base))):
+        k, b = base[level]
+        cells = path[level][0]
+        for c in cells[k]:
+            if c not in _orbit(b, gens):
+                found = extend(level, cells, (c,))
+                if found:
+                    gens.append(found)
+    return gens
+
+
+def _orbit(v: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of v under the group the permutations generate."""
+    orbit, todo = {v}, [v]
+    for x in todo:  # the list grows while it is scanned
+        for p in perms:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                todo.append(p[x])
+    return orbit
 
 
 def _read_text(path: str | Path) -> str:

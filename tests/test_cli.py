@@ -215,6 +215,17 @@ def test_dist_stops_at_the_node_budget(files, capsys, extra):
     assert captured.err.startswith("resource limit: node budget 1 exceeded")
 
 
+@pytest.mark.parametrize("command", ["rank", "project"])
+def test_a_repeated_label_is_refused(files, capsys, command):
+    # rank 1 1 is not the rank of {1}, and project needs a vertex set
+    g = files("g.txt", P3)
+    tree = [files("t.tree", CHAIN_123)] if command == "project" else []
+    code = main([command, g, *tree, "1", "2", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: duplicate vertex label: '1'\n"
+
+
 def test_project_subcommand(files, capsys):
     g = files("g.txt", P3)
     t = files("t.tree", CHAIN_123)

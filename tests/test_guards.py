@@ -19,6 +19,7 @@ from gassoc.flipgraph import (
 )
 from gassoc.graph import Graph, balanced_min_cut_exists, min_st_cut_value
 from gassoc.polymatroid import (
+    GraphAssocRank,
     TableRank,
     devadoss_coordinates,
     greedy_extreme_point,
@@ -151,6 +152,15 @@ CASES = {
             build_weighted_instance(path_graph(4), "1", "4", N=2), ["1", "2", "2"]),
         InvalidArgument("duplicate label in X: '2'"),
     ),
+    # A vertex set given as labels names each vertex once.
+    "mask_duplicate_label": (
+        lambda: P3.mask(["1", "2", "1"]), InvalidArgument("duplicate vertex label: '1'")),
+    "rank_duplicate_label": (
+        lambda: GraphAssocRank(P3).rank(["1", "1"]),
+        InvalidArgument("duplicate vertex label: '1'")),
+    "project_duplicate_label": (
+        lambda: project(P3, P3_TREE, ["1", "2", "2"]),
+        InvalidArgument("duplicate vertex label: '2'")),
     "canonicalize_twin_swap": (
         _twin_swap_of_a_non_child,
         IllegalMove("'b:1:1' is not a child of 'b:1:2'"),
