@@ -43,8 +43,8 @@ class ElimTree:
     """Immutable elimination tree of a host graph; the constructor admits
     no other parent array. Stored as a parent array over the host's dense
     indices (-1 at the root); children lists are derived once and kept
-    sorted by index so all traversals are deterministic. Subtree masks are
-    computed on first use and carried across a replay (``_Replay``).
+    sorted by index so all traversals are deterministic. Children and
+    subtree masks come from one ``_shape`` pass over the parent array.
     """
 
     __slots__ = ("graph", "parent", "root", "children", "_key", "_masks")
@@ -59,32 +59,31 @@ class ElimTree:
             raise InvalidArgument("parent array does not span the vertex set")
         if not all(-1 <= p < n for p in parent):
             raise InvalidArgument("parent index out of range")
-        roots = [i for i, p in enumerate(parent) if p < 0]
-        if len(roots) != 1:
-            raise InvalidArgument(f"expected exactly one root, found {len(roots)}")
-        self.graph, self.parent, self.root = graph, parent, roots[0]
-        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, _children(parent)))
-        self._key: bytes | None = None
-        self._masks: list[int] | None = None
+        roots = parent.count(-1)
+        if roots != 1:
+            raise InvalidArgument(f"expected exactly one root, found {roots}")
+        order = self._fill(graph, parent)
         # Reject parent maps with cycles (they never reach the root).
-        order = _root_first(parent, self.children)
         if len(order) != n:
             raise InvalidArgument("parent pointers do not form a spanning tree")
         if _ordering_parent(graph.adj, order) != parent:  # rebuilt from its root-first order
             raise InvalidArgument("not an elimination tree of the graph")
 
     @classmethod
-    def _trusted(
-        cls, graph: Graph, parent: tuple[int, ...],
-        key: bytes | None = None, masks: list[int] | None = None,
-    ) -> "ElimTree":
+    def _trusted(cls, graph: Graph, parent: tuple[int, ...], key: bytes | None = None) -> "ElimTree":
         """A tree built by rule (a swap, a vertex order on a connected graph,
         a projection onto a connected set), valid by construction: no checks."""
         tree = object.__new__(cls)
-        tree.graph, tree.parent, tree.root = graph, parent, parent.index(-1)
-        tree.children = tuple(map(tuple, _children(parent)))
-        tree._key, tree._masks = key, masks
+        tree._fill(graph, parent, key)
         return tree
+
+    def _fill(self, graph: Graph, parent: tuple[int, ...], key: bytes | None = None) -> list[int]:
+        """Set every field from the parent tuple by one ``_shape`` pass;
+        returns the root-first order."""
+        children, order, self._masks = _shape(parent)
+        self.graph, self.parent, self.root, self._key = graph, parent, order[0], key
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
+        return order
 
     # -- construction -------------------------------------------------
 
@@ -122,12 +121,7 @@ class ElimTree:
         return self.graph.labels[self.root]
 
     def subtree_mask(self, i: int) -> int:
-        return self._all_masks()[i]
-
-    def _all_masks(self) -> list[int]:
-        if self._masks is None:
-            self._masks = _subtree_masks(self.parent, self.children)
-        return self._masks
+        return self._masks[i]
 
     def ancestors(self, label: str) -> frozenset[str]:
         """Strict ancestors of ``label`` (the vertex itself excluded)."""
@@ -158,7 +152,8 @@ class ElimTree:
     # -- encodings ------------------------------------------------------
 
     def canonical_key(self) -> bytes:
-        """Injective byte encoding: the parent array in fixed vertex order."""
+        """Injective byte encoding: the parent array in fixed vertex order,
+        each entry in the narrowest signed width that holds n - 1."""
         if self._key is None:
             self._key = _pack(self.parent)
         return self._key
@@ -187,70 +182,64 @@ class ElimTree:
 # u: after swap(u, v) it moves below u iff it touches u.
 
 
-def _pack(parent: Iterable[int]) -> bytes:
+def _typecode(n: int) -> str:
+    """The narrowest signed ``array`` typecode that holds n - 1. The root's
+    -1 is all-ones bytes in each, so keys of one n compare byte for byte
+    as their ``"l"`` encodings do."""
+    return "b" if n <= 128 else "h" if n <= 32768 else "l"
+
+
+def _pack(parent: Sequence[int]) -> bytes:
     """The canonical key of a parent array."""
-    return array("l", parent).tobytes()
+    return array(_typecode(len(parent)), parent).tobytes()
 
 
-def _unpack(key: bytes) -> array:
-    """The parent array of a canonical key."""
-    return array("l", key)
-
-
-def _children(parent: Sequence[int]) -> list[list[int]]:
-    kids: list[list[int]] = [[] for _ in parent]
-    for i, p in enumerate(parent):
-        if p >= 0:
-            kids[p].append(i)
-    return kids
-
-
-def _root_first(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
-    """The vertices reachable from the root, each after its parent."""
-    order = [parent.index(-1)]
-    for v in order:  # the list grows while it is scanned
-        order += children[v]
-    return order
+def _unpack(key: bytes, n: int) -> array:
+    """The parent array of a canonical key of a tree on n vertices (or of
+    several such keys joined)."""
+    return array(_typecode(n), key)
 
 
 _BITS = [1 << i for i in range(64)]  # sliced per state, not rebuilt
 
 
-def _subtree_masks(parent: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
-    """The subtree mask of every vertex, by one bottom-up pass."""
+def _shape(parent: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The children lists (sorted by index), the vertices reachable from
+    the root, each after its parent, and the subtree mask of every vertex.
+    The root's -1 files it under an extra last list, which becomes the
+    start of the order."""
     n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, p in enumerate(parent):
+        children[p].append(i)
+    order = children.pop()
+    for v in order:  # the list grows while it is scanned
+        order += children[v]
     sub = _BITS[:n] if n <= len(_BITS) else [1 << i for i in range(n)]
-    for v in _root_first(parent, children)[:0:-1]:
+    for v in order[:0:-1]:  # bottom-up, the root skipped
         sub[parent[v]] |= sub[v]
-    return sub
-
-
-def _swapped(adj, parent, children, sub, u: int, v: int):
-    """A copy of the parent array after swap(u, v); ``sub[c]`` is the
-    subtree mask of each child c of v."""
-    nb = parent[:]
-    nb[v] = parent[u]
-    nb[u] = v
-    if children[v]:  # a leaf v has no child subtree to move below u
-        adj_u = adj[u]
-        for c in children[v]:
-            if sub[c] & adj_u:
-                nb[c] = u
-    return nb
+    return children, order, sub
 
 
 def swap_neighbors(adj: Sequence[int], key: bytes) -> Iterator[tuple[int, int, bytes]]:
     """Each swap(u, v) of the elimination tree with this canonical key as
     (u, v, the key after it), in ``enumerate_swaps`` order. Per state, one
-    pass lists the children and one bottom-up pass finds every subtree
-    mask; nothing is re-validated, since a swap of an elimination tree is
-    one by construction."""
-    parent = _unpack(key)
-    children = _children(parent)
-    sub = _subtree_masks(parent, children)
+    ``_shape`` pass; nothing is re-validated, since a swap of an
+    elimination tree is one by construction."""
+    parent = _unpack(key, len(adj))
+    children, _, sub = _shape(parent)
     for v, u in enumerate(parent):
         if u >= 0:
-            yield u, v, _swapped(adj, parent, children, sub, u, v).tobytes()
+            nb = parent[:]
+            nb[v] = parent[u]
+            nb[u] = v
+            kids = children[v]
+            if kids:  # a leaf v has no child subtree to move below u
+                adj_u = adj[u]
+                for c in kids:
+                    if sub[c] & adj_u:
+                        nb[c] = u
+            yield u, v, nb.tobytes()
 
 
 def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -290,7 +279,7 @@ class _Replay:
         self.graph = tree.graph
         self.parent = list(tree.parent)
         self.children = [set(c) for c in tree.children]
-        self.masks = list(tree._all_masks())
+        self.masks = list(tree._masks)
 
     def swap(self, u: str, v: str) -> None:
         """Swap child v with its parent u, by the kernel's rule: a child
@@ -317,8 +306,8 @@ class _Replay:
         sub[iv], sub[iu] = sub[iu], mask_u
 
     def tree(self) -> ElimTree:
-        """The tree reached; it takes over the masks, so the replay ends."""
-        return ElimTree._trusted(self.graph, tuple(self.parent), masks=self.masks)
+        """The tree reached."""
+        return ElimTree._trusted(self.graph, tuple(self.parent))
 
 
 def is_valid(g: Graph, t: ElimTree) -> bool:
@@ -355,7 +344,7 @@ def project(g: Graph, t: ElimTree, u: Iterable[str]) -> ElimTree:
         raise InvalidArgument("not an elimination tree of the given graph")
     proj = _Projector(g.adj, g.mask(u))
     subg = induced_subgraph(g, (g.labels[i] for i in proj.index))
-    return ElimTree._trusted(subg, proj(_root_first(t.parent, t.children)))
+    return ElimTree._trusted(subg, proj(_shape(t.parent)[1]))
 
 
 # -- text formats -----------------------------------------------------

@@ -253,7 +253,7 @@ def _flip_graph(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> tuple[list[bytes], 
 
 def _trees(g: Graph, keys: Iterable[bytes]) -> list[ElimTree]:
     """The trees of trusted keys, in the keys' order."""
-    return [ElimTree._trusted(g, tuple(_unpack(key)), key=key) for key in keys]
+    return [ElimTree._trusted(g, tuple(_unpack(key, g.n)), key=key) for key in keys]
 
 
 def explicit_flip_graph(
@@ -354,7 +354,7 @@ def _tree_orbits(g: Graph, keys: Sequence[bytes]):
     gens = automorphism_generators(g)
     if not gens:
         return label
-    trees = np.asarray(_unpack(b"".join(keys))).reshape(len(keys), g.n)
+    trees = np.asarray(_unpack(b"".join(keys), g.n)).reshape(len(keys), g.n)
     order = np.lexsort(trees.T)
     perms = []
     for sigma in gens:

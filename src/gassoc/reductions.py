@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
-    ElimTree, SwapMove, _Projector, _Replay, _root_first, format_tree, is_valid, parse_tree
+    ElimTree, SwapMove, _Projector, _Replay, _shape, format_tree, is_valid, parse_tree
 )
 from .errors import IllegalMove, InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import DEFAULT_NODE_BUDGET, ReconfigSequence, validate_sequence
@@ -389,12 +389,12 @@ def project_sequence(
     gp = inst.graph
     proj = _Projector(gp.adj, gp.mask(inst.copy_map[v][phi[v] - 1] for v in g.labels))
     tree_prime = _Replay(seq_prime.start)
-    start = ElimTree._trusted(g, proj(_root_first(tree_prime.parent, tree_prime.children)))
+    start = ElimTree._trusted(g, proj(_shape(tree_prime.parent)[1]))
     tree = _Replay(start)
     moves: list[SwapMove] = []
     for mv in seq_prime.moves:
         tree_prime.swap(mv.u, mv.v)
-        nxt = list(proj(_root_first(tree_prime.parent, tree_prime.children)))
+        nxt = list(proj(_shape(tree_prime.parent)[1]))
         if nxt != tree.parent:
             smv = SwapMove(inst.source_of(mv.u), inst.source_of(mv.v))
             tree.swap(smv.u, smv.v)

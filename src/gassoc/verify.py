@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
-from .elimtree import ElimTree, SwapMove, _Projector, _Replay, _pack, _root_first, swap_neighbors
+from .elimtree import ElimTree, SwapMove, _Projector, _Replay, _pack, _shape, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
     _flip_graph,
@@ -90,10 +90,10 @@ def verify_projection_suite(max_n: int = 5) -> SuiteReport:
                 if g.component_of((mask & -mask).bit_length() - 1, mask) == mask
             ]
             # Every tree's images, by key, so that a swap looks up its neighbour's.
-            images = {
-                t.canonical_key(): [_pack(p(_root_first(t.parent, t.children))) for p in projs]
-                for t in enumerate_all(g)
-            }
+            images = {}
+            for t in enumerate_all(g):
+                order = _shape(t.parent)[1]
+                images[t.canonical_key()] = [_pack(p(order)) for p in projs]
             # The swap kernel on G[U], not the projection, says what
             # swap(u, v) does to T|_U (for u, v both in U): each tree of
             # G[U] is expanded once, not once per tree of G.

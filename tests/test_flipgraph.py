@@ -18,6 +18,7 @@ from gassoc.errors import InvalidArgument, ResourceLimit
 from gassoc.graph import Graph
 from gassoc.flipgraph import (
     ReconfigSequence,
+    _diameter,
     _eccentricities,
     bfs_distances,
     diameter,
@@ -55,14 +56,14 @@ def star_count(leaves):
     return c
 
 
-def inversions(sigma, tau):
+def inversions(sigma, tau, w=None):
+    """The pairs that sigma and tau order differently, each counted
+    w(a) * w(b) times (once without weights)."""
     pos = {lab: i for i, lab in enumerate(tau)}
-    order = [pos[lab] for lab in sigma]
     return sum(
-        1
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-        if order[i] > order[j]
+        1 if w is None else w[a] * w[b]
+        for a, b in combinations(sigma, 2)
+        if pos[a] > pos[b]
     )
 
 
@@ -118,6 +119,17 @@ def test_complete_graph_distance_is_inversions():
     for sigma in permutations(base):
         t = ElimTree.from_ordering(g, sigma)
         assert distance(g, t_base, t) == inversions(base, sigma)
+    # Every tree of K_n is a chain and a swap exchanges two neighbours in
+    # it, so the cheapest walk swaps each inverted pair {a, b} once, at
+    # w(a) * w(b): a swap-free oracle for the weighted search.
+    rng = random.Random(5)
+    for n in range(4, 8):
+        g = complete_graph(n)
+        for _ in range(10):
+            w = {v: rng.randint(1, 5) for v in g.labels}
+            sigma, tau = rng.sample(g.labels, n), rng.sample(g.labels, n)
+            t1, t2 = ElimTree.from_ordering(g, sigma), ElimTree.from_ordering(g, tau)
+            assert weighted_distance(g, w, t1, t2) == inversions(sigma, tau, w)
 
 
 def test_shortest_path_witness_replays():
@@ -426,6 +438,10 @@ def test_diameters_against_the_literature():
     assert additions == 821
     # stellohedra: 2(n - 1) holds only from n = 6 on
     assert [diameter(star_graph(n)) for n in range(3, 9)] == [2, 4, 7, 10, 12, 14]
+    # the largest symmetric flip graphs pinned here, with their tree counts:
+    # S9 is 2(n - 1) and the permutahedron K8 is n(n - 1)/2
+    assert _diameter(star_graph(9), 10**6) == (16, 109_601)
+    assert _diameter(complete_graph(8), 10**6) == (28, 40_320)
 
 
 def test_searches_keep_each_state_once():
@@ -440,7 +456,7 @@ def test_searches_keep_each_state_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 8 * 2**20
     moves = [(m.u, m.v) for m in shortest_path(g, t1, t2).moves]
     assert moves == [
         ("4", "5"), ("5", "1"), ("6", "1"), ("2", "1"), ("9", "1"), ("10", "7"),

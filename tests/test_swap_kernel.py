@@ -20,10 +20,10 @@ from gassoc.elimtree import (
     ElimTree,
     SwapMove,
     _Replay,
-    _children,
     _ordering_parent,
-    _root_first,
-    _subtree_masks,
+    _pack,
+    _shape,
+    _unpack,
     is_valid,
     project,
     swap_neighbors,
@@ -104,7 +104,7 @@ def oracle_neighbors(g, parent):
     for v, u in enumerate(parent):
         if u >= 0:
             nb = oracle_swap(g, parent, u, v)
-            out.append((u, v, nb, array("l", nb).tobytes()))
+            out.append((u, v, nb, _pack(nb)))
     return out
 
 
@@ -174,7 +174,7 @@ def oracle_flip_graph(g):
 
 def assert_kernel_matches(g, parent):
     want = oracle_neighbors(g, parent)
-    key = array("l", parent).tobytes()
+    key = _pack(parent)
     assert list(swap_neighbors(g.adj, key)) == [(u, v, nk) for u, v, _, nk in want]
     tree = ElimTree(g, parent)
     moves = tree.enumerate_swaps()
@@ -224,10 +224,11 @@ def test_kernel_matches_oracle_random(n, p, seed, order, walk):
 
 
 def test_kernel_and_masks_match_oracle_around_64_vertices():
-    # _subtree_masks copies the masks of the first 64 vertices from a table
-    # and builds any further ones: graphs on both sides of that limit, with
-    # the kernel's own child lists, along short seeded walks.
-    for n in (63, 64, 65, 70):
+    # _shape copies the masks of the first 64 vertices from a table and
+    # builds any further ones, and keys widen from one byte per vertex to
+    # two above 128 vertices: graphs on both sides of each limit, along
+    # short seeded walks.
+    for n in (63, 64, 65, 70, 128, 129):
         for g in (path_graph(n), random_connected_graph(n, 0.05, n)):
             rng = random.Random(n)
             labels = list(g.labels)
@@ -237,12 +238,40 @@ def test_kernel_and_masks_match_oracle_around_64_vertices():
             for _ in range(4):
                 assert_kernel_matches(g, parent)
                 kids = oracle_children(g, parent)
-                assert _subtree_masks(parent, _children(parent)) == [
-                    oracle_subtree(kids, i) for i in range(n)
-                ]
+                children, order, masks = _shape(parent)
+                assert children == kids
+                assert masks == [oracle_subtree(kids, i) for i in range(n)]
+                assert sorted(order) == list(range(n))
+                assert all(order.index(parent[v]) < order.index(v) for v in order[1:])
                 u, v, parent, _ = rng.choice(oracle_neighbors(g, parent))
                 replay.swap(g.labels[u], g.labels[v])
                 assert_replay_matches(g, replay, parent)
+
+
+def test_keys_round_trip_and_sort_as_long_keys():
+    # A key takes one byte per vertex up to 128 vertices, two up to 32,768
+    # and a C long beyond; at each width it decodes to its parent array and
+    # sorts as the array's "l" encoding does. Each variant differs from a
+    # shared base in one entry, so comparisons are decided late as well as
+    # early, at the values around each width's limits.
+    rng = random.Random(12)
+    for n, width in ((1, 1), (2, 1), (7, 1), (128, 1), (129, 2), (32768, 2),
+                     (32769, array("l").itemsize)):
+        values = [v for v in (-1, 0, 1, 126, 127, 128, 254, 255, 256, 32767, 32768) if v < n]
+        base = rng.choices(range(-1, n), k=n)
+        parents = [base]
+        for _ in range(100):
+            p = list(base)
+            p[rng.randrange(n)] = rng.choice(values + [rng.randrange(-1, n)])
+            parents.append(p)
+        parents += [rng.choices(range(-1, n), k=n) for _ in range(10)]
+        for p in parents:
+            key = _pack(p)
+            assert len(key) == n * width
+            assert tuple(_unpack(key, n)) == tuple(p)
+        assert sorted(parents, key=_pack) == sorted(
+            parents, key=lambda p: array("l", p).tobytes()
+        )
 
 
 def assert_replay_matches(g, replay, parent):
@@ -274,8 +303,10 @@ def test_masks_carried_along_a_sufficiency_sequence():
         assert_replay_matches(g, replay, parent)
     ok, final = validate_sequence(g, seq)
     assert ok and final.parent == parent == inst.t_tar.parent
-    carried = [final.subtree_mask(i) for i in range(g.n)]
-    assert carried == _subtree_masks(final.parent, final.children)
+    kids = oracle_children(g, final.parent)
+    assert [final.subtree_mask(i) for i in range(g.n)] == [
+        oracle_subtree(kids, i) for i in range(g.n)
+    ]
 
 
 def test_explicit_flip_graph_matches_oracle():
@@ -298,7 +329,7 @@ def test_flip_graph_core_matches_oracle():
                random_connected_graph(7, 0.4, 1)]
     for g in graphs:
         found = {
-            array("l", t).tobytes(): sorted(array("l", nb).tobytes() for nb in nbs)
+            _pack(t): sorted(_pack(nb) for nb in nbs)
             for t, nbs in oracle_flip_graph(g).items()
         }
         keys, rows = _flip_graph(g)
@@ -365,7 +396,7 @@ def test_ordering_parent_matches_per_edge_union_find_at_scale():
         for N in range(2, 7):  # cliques of up to 216 vertices
             inst = build_weighted_instance(source, "s", "t", N=N)
             for tree in (inst.t_ini, inst.t_tar):
-                order = _root_first(tree.parent, tree.children)
+                order = _shape(tree.parent)[1]
                 want = oracle_ordering_parent(inst.graph.adj, order)
                 assert _ordering_parent(inst.graph.adj, order) == want == tree.parent
     n = 10_001

@@ -111,14 +111,14 @@ def _orbit_partition(labels):
     return sorted(groups.values())
 
 
-def _parent(key):
-    return tuple(_unpack(key))
+def _parent(g, key):
+    return tuple(_unpack(key, g.n))
 
 
 def _mirror_key(g, key):
     """The key of a path's tree reflected end to end: p'[last - i] = last - p[i]."""
     last = g.n - 1
-    parent = _parent(key)
+    parent = _parent(g, key)
     return ElimTree(g, [-1 if p < 0 else last - p for p in reversed(parent)]).canonical_key()
 
 
@@ -141,7 +141,7 @@ def test_star_orbits_are_the_centre_depths():
     keys, _ = _flip_graph(g)
     depth = []
     for k in keys:
-        parent, v, d = _parent(k), 0, 0
+        parent, v, d = _parent(g, k), 0, 0
         while parent[v] >= 0:
             v, d = parent[v], d + 1
         depth.append(d)
@@ -172,7 +172,7 @@ def test_cycle_orbits_against_brute_force():
         return i
 
     for i, k in enumerate(keys):
-        parent = _parent(k)
+        parent = _parent(g, k)
         for sigma in auts:
             image = [0] * g.n
             for v, p in enumerate(parent):

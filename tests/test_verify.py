@@ -145,7 +145,7 @@ def test_projection_suite_catches_a_wrong_swap_rule(monkeypatch):
             self.adj = OnSubgraph(self.adj)
 
     def careless(adj, key):
-        parent = _unpack(key)
+        parent = _unpack(key, len(adj))
         for u, v, nk in swap_neighbors(adj, key):
             if isinstance(adj, OnSubgraph):
                 nb = list(parent)
