@@ -175,6 +175,42 @@ def shortest_path(
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
+def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree, pred: dict,
+                  node_budget: int = DEFAULT_NODE_BUDGET):
+    """Uniform-cost search from t1: yields (key, d) as each tree is settled,
+    in (d, key) heap order, and records in ``pred`` each reached tree's
+    predecessor (key, u, v), replaced only by a strictly shorter route."""
+    if not is_valid(g, t1):
+        raise InvalidArgument("not an elimination tree of the given graph")
+    wi = check_weights(g, w)
+    expand = _budgeted_expand(g, node_budget)
+    start_key = t1.canonical_key()
+    heap: list[tuple[int, bytes]] = [(0, start_key)]
+    best: dict[bytes, int] = {start_key: 0}
+    while heap:
+        d, key = heapq.heappop(heap)
+        if d > best[key]:
+            continue  # a stale entry of a tree already expanded
+        yield key, d
+        for u, v, nk in expand(key):
+            nd = d + wi[u] * wi[v]
+            if nk not in best or nd < best[nk]:
+                best[nk] = nd
+                pred[nk] = (key, u, v)
+                heapq.heappush(heap, (nd, nk))
+
+
+def _settle(g: Graph, w, t1: ElimTree, t2: ElimTree, pred: dict, node_budget: int) -> int:
+    """Run the uniform-cost search from t1 until t2 is settled; t2's distance."""
+    if not is_valid(g, t2):
+        raise InvalidArgument("not an elimination tree of the given graph")
+    target = t2.canonical_key()
+    for key, d in _uniform_cost(g, w, t1, pred, node_budget):
+        if key == target:
+            return d
+    raise AssertionError("flip graph is connected; target must be reached")
+
+
 def weighted_distance(
     g: Graph,
     w: Mapping[str, int],
@@ -183,7 +219,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    return moves_weight(weighted_shortest_path(g, w, t1, t2, node_budget).moves, w)
+    return _settle(g, w, t1, t2, {}, node_budget)
 
 
 def weighted_shortest_path(
@@ -195,34 +231,14 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence (uniform-cost search with
     predecessors; ties broken by canonical key through the heap order)."""
-    if not (is_valid(g, t1) and is_valid(g, t2)):
-        raise InvalidArgument("not an elimination tree of the given graph")
-    check_weights(g, w)
-    expand = _budgeted_expand(g, node_budget)
-    labs = g.labels
-    wi = [w[lab] for lab in labs]
-    target = t2.canonical_key()
-    start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes]] = [(0, start_key)]
-    best: dict[bytes, int] = {start_key: 0}
     pred: dict[bytes, tuple[bytes, int, int]] = {}
-    while heap:
-        d, key = heapq.heappop(heap)
-        if d > best[key]:
-            continue  # a stale entry of a tree already expanded
-        if key == target:
-            moves = []
-            while key != start_key:
-                key, u, v = pred[key]
-                moves.append(SwapMove(labs[u], labs[v]))
-            return ReconfigSequence(t1, tuple(reversed(moves)))
-        for u, v, nk in expand(key):
-            nd = d + wi[u] * wi[v]
-            if nk not in best or nd < best[nk]:
-                best[nk] = nd
-                pred[nk] = (key, u, v)
-                heapq.heappush(heap, (nd, nk))
-    raise AssertionError("flip graph is connected; target must be reached")
+    _settle(g, w, t1, t2, pred, node_budget)
+    key, start_key = t2.canonical_key(), t1.canonical_key()
+    moves = []
+    while key != start_key:
+        key, u, v = pred[key]
+        moves.append(SwapMove(g.labels[u], g.labels[v]))
+    return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
 # -- explicit materialization and diameter ------------------------------

@@ -8,6 +8,7 @@ clique-heavy graphs produced by the reduction builders.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -399,13 +400,20 @@ def parse_weights(g: Graph, text: str) -> dict[str, int]:
     return weights
 
 
-def check_weights(g: Graph, w: Mapping[str, int]) -> None:
-    """Require a positive weight for every vertex of ``g``."""
+def check_weights(g: Graph, w: Mapping[str, int]) -> list[int]:
+    """Require a positive integer weight for every vertex of ``g``; the
+    weights as ints, in label order."""
+    out = []
     for lab in g.labels:
         if lab not in w:
             raise InvalidArgument(f"missing weight for {lab!r}")
-        if w[lab] <= 0:
+        try:
+            out.append(operator.index(w[lab]))
+        except TypeError:
+            raise InvalidArgument(f"weights must be integers, w({lab!r}) = {w[lab]!r}") from None
+        if out[-1] <= 0:
             raise InvalidArgument(f"weights must be positive, w({lab!r}) = {w[lab]}")
+    return out
 
 
 def format_graph(g: Graph) -> str:

@@ -280,7 +280,7 @@ def build_unweighted_instance(
 
     Raises ResourceLimit, before building anything, when the instance's
     vertices plus edges would exceed ``node_budget``."""
-    check_weights(g, w)
+    w = dict(zip(g.labels, check_weights(g, w)))
     clique_edges = sum(w[v] * (w[v] - 1) // 2 for v in g.labels)
     _check_size(
         sum(w[v] for v in g.labels),
@@ -301,7 +301,7 @@ def build_unweighted_instance(
         t_ini=t_ini,
         t_tar=t_tar,
         source=g,
-        weights=dict(w),
+        weights=w,
         copy_map=copy_map,
     )
     # Until here the trees are the source trees; replace them by their images.

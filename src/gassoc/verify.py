@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .elimtree import ElimTree, SwapMove, _Projector, _Replay, _pack, _shape, swap_neighbors
 from .flipgraph import (
     ReconfigSequence,
     _flip_graph,
+    _uniform_cost,
     bfs_distances,
     enumerate_all,
     moves_weight,
-    weighted_distance,
 )
 from .polymatroid import GraphAssocRank, check_axioms, verify_realization
 from .reductions import (
@@ -140,9 +140,11 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
                 for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])
+                    # One search from ti, stopped once every tree is settled.
+                    settled = dict(islice(_uniform_cost(g, w, ti, {}), len(trees)))
                     for j, tj in enumerate(trees):
                         report.checked += 1
-                        dist_w = weighted_distance(g, w, ti, tj)
+                        dist_w = settled[tj.canonical_key()]
                         if dist_w != dist_p[lifted[j]]:
                             report.failures.append(
                                 f"n={n} edges={g.edges} w={ws} pair=({i},{j}): "

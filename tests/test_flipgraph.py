@@ -6,6 +6,8 @@ Counting oracles used here:
 - complete graph: n! chains, distance = inversion count
 """
 
+import hashlib
+import heapq
 import random
 import re
 import tracemalloc
@@ -20,12 +22,14 @@ from gassoc.flipgraph import (
     ReconfigSequence,
     _diameter,
     _eccentricities,
+    _uniform_cost,
     bfs_distances,
     diameter,
     distance,
     enumerate_all,
     explicit_flip_graph,
     flip_graph_dot,
+    moves_weight,
     shortest_path,
     validate_sequence,
     weighted_distance,
@@ -243,6 +247,60 @@ def test_weighted_distance_big_integers():
     assert d == 2 * 10**20  # swap 2 past each endpoint
 
 
+def _reference_weighted_distances(trees, adj, w, source):
+    """Dijkstra over an explicit flip graph; a swap's weight is w(a) * w(b)
+    for the one pair with a the parent of b before and b the parent of a
+    after."""
+
+    def weight(i, j):
+        p, q = trees[i].parent, trees[j].parent
+        labs = trees[i].graph.labels
+        (a, b), = [(a, b) for b, a in enumerate(p) if a >= 0 and q[a] == b]
+        return w[labs[a]] * w[labs[b]]
+
+    dist, heap = {source: 0}, [(0, source)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue
+        for j in adj[i]:
+            nd = d + weight(i, j)
+            if j not in dist or nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+    return [dist[j] for j in range(len(trees))]
+
+
+def test_weighted_distance_matches_its_core_and_a_reference():
+    # Every connected graph with n <= 4, two seeded weight vectors each,
+    # every ordered pair of trees: the per-pair coverage that the
+    # blowup-equiv suite, which runs one search per source tree, leaves out.
+    rng = random.Random(22)
+    pairs, paths = 0, hashlib.sha256()
+    for n in range(1, 5):
+        for g in connected_graphs_up_to_iso(n):
+            trees, adj = explicit_flip_graph(g)
+            for _ in range(2):
+                w = {lab: rng.randint(1, 5) for lab in g.labels}
+                for i, ti in enumerate(trees):
+                    ref = _reference_weighted_distances(trees, adj, w, i)
+                    core = dict(_uniform_cost(g, w, ti, {}))
+                    assert len(core) == len(trees)
+                    for j, tj in enumerate(trees):
+                        d = weighted_distance(g, w, ti, tj)
+                        seq = weighted_shortest_path(g, w, ti, tj)
+                        assert d == core[tj.canonical_key()] == ref[j]
+                        assert moves_weight(seq.moves, w) == d
+                        ok, final = validate_sequence(g, seq)
+                        assert ok and final.canonical_key() == tj.canonical_key()
+                        paths.update(" ".join(f"{m.u}{m.v}" for m in seq.moves).encode() + b";")
+                        pairs += 1
+    assert pairs == 2 * sum(
+        len(enumerate_all(g)) ** 2 for n in range(1, 5) for g in connected_graphs_up_to_iso(n))
+    # The paths themselves, ties broken by the heap order, are pinned.
+    assert paths.hexdigest()[:16] == "ab3ad04c2cf4fde9"
+
+
 def test_weighted_rejects_nonpositive():
     g = path_graph(3)
     t = ElimTree.from_ordering(g, g.labels)
@@ -317,6 +375,7 @@ def test_searches_stop_at_the_node_budget():
     searches = [
         lambda: distance(g, t1, t2, node_budget=1),
         lambda: shortest_path(g, t1, t2, node_budget=1),
+        lambda: weighted_distance(g, unit, t1, t2, node_budget=1),
         lambda: weighted_shortest_path(g, unit, t1, t2, node_budget=1),
     ]
     for search in searches:

@@ -15,6 +15,7 @@ from gassoc.flipgraph import (
     shortest_path,
     validate_sequence,
     weighted_distance,
+    weighted_length,
     weighted_shortest_path,
 )
 from gassoc.graph import Graph, balanced_min_cut_exists, min_st_cut_value
@@ -65,6 +66,8 @@ P3 = path_graph(3)
 P3_TREE = ElimTree.from_ordering(P3, P3.labels)
 STAR_TREE = ElimTree.from_ordering(star_graph(3), P3.labels)
 UNIT = {lab: 1 for lab in P3.labels}
+# The tree of P3 rooted at its middle vertex, one swap from P3_TREE.
+STAR_P3_TREE = ElimTree.from_ordering(P3, ["2", "1", "3"])
 
 
 def _blowup_of_p3():
@@ -109,6 +112,27 @@ CASES = {
     "tree_bool_parent": (
         lambda: [(type(p), p) for p in ElimTree(P3, [True, -1, 1]).parent],
         [(int, 1), (int, -1), (int, 1)],
+    ),
+    # Weights are integers: each is normalized with operator.index, as
+    # parent indices are, and a tree is checked before the weights.
+    "weighted_distance_float_weight": (
+        lambda: weighted_distance(P3, {"1": 1.5, "2": 1, "3": True}, P3_TREE, STAR_P3_TREE),
+        InvalidArgument("weights must be integers, w('1') = 1.5")),
+    "weighted_distance_str_weight": (
+        lambda: weighted_distance(P3, {"1": 1, "2": "2", "3": 1}, P3_TREE, P3_TREE),
+        InvalidArgument("weights must be integers, w('2') = '2'")),
+    "weighted_distance_tree_before_weights": (
+        lambda: weighted_distance(P3, {"1": 1.5, "2": 1, "3": 1}, STAR_TREE, P3_TREE), GIVEN),
+    "weighted_length_float_weight": (
+        lambda: weighted_length(ReconfigSequence(P3_TREE), {"1": 1, "2": 1, "3": 0.5}),
+        InvalidArgument("weights must be integers, w('3') = 0.5")),
+    "blowup_float_weight": (
+        lambda: build_unweighted_instance(P3, {"1": 2.0, "2": 1, "3": 1}, P3_TREE, P3_TREE),
+        InvalidArgument("weights must be integers, w('1') = 2.0")),
+    "blowup_bool_weight": (
+        lambda: [(type(x), x) for x in build_unweighted_instance(
+            P3, {"1": 2, "2": True, "3": 1}, P3_TREE, P3_TREE).weights.values()],
+        [(int, 2), (int, 1), (int, 1)],
     ),
     "min_cut_s_equals_t": (
         lambda: min_st_cut_value(path_graph(3), "1", "1"),

@@ -9,6 +9,8 @@ import sys
 from itertools import combinations, permutations
 from pathlib import Path
 
+import pytest
+
 from gassoc import polymatroid, verify
 from gassoc.cli import main
 from gassoc.elimtree import ElimTree, _Projector, _pack, _unpack, swap_neighbors
@@ -164,6 +166,12 @@ def test_blowup_suite_small():
     assert report.checked > 50
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blowup_suite_checks_every_pair(seed):
+    report = verify_blowup_suite(seed=seed)
+    assert report.ok and report.checked == 6903
+
+
 def _shifted_coordinates(monkeypatch):
     coordinates = polymatroid.devadoss_coordinates
     monkeypatch.setattr(
@@ -195,9 +203,10 @@ def test_realization_suite_reports_a_failure(monkeypatch):
 
 
 def test_blowup_suite_reports_a_failure(monkeypatch):
-    weighted_distance = verify.weighted_distance
+    uniform_cost = verify._uniform_cost
     monkeypatch.setattr(
-        verify, "weighted_distance", lambda *args: weighted_distance(*args) + 1
+        verify, "_uniform_cost",
+        lambda *args: ((key, d + 1) for key, d in uniform_cost(*args)),
     )
     report = verify_blowup_suite(max_total=4)
     assert not report.ok and len(report.failures) == report.checked
