@@ -233,12 +233,10 @@ def swap_neighbors(adj: Sequence[int], key: bytes) -> Iterator[tuple[int, int, b
             nb = parent[:]
             nb[v] = parent[u]
             nb[u] = v
-            kids = children[v]
-            if kids:  # a leaf v has no child subtree to move below u
-                adj_u = adj[u]
-                for c in kids:
-                    if sub[c] & adj_u:
-                        nb[c] = u
+            adj_u = adj[u]
+            for c in children[v]:
+                if sub[c] & adj_u:
+                    nb[c] = u
             yield u, v, nb.tobytes()
 
 

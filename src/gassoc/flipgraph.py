@@ -149,12 +149,11 @@ def shortest_path(
     """
     expand = _budgeted_expand(g, node_budget)
     d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, expand)
-    k1, k2 = t1.canonical_key(), t2.canonical_key()
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
     # find them by descending from the meeting trees (one level of the search
     # from t2) through t2's map: a geodesic tree j steps from t2 is d - j from t1.
-    dist1[k2] = d
+    dist1[t2.canonical_key()] = d
     level = dist2[layer[0]]
     while level > 1:
         level -= 1
@@ -165,21 +164,27 @@ def shortest_path(
                     dist1[nk] = d - level
                     nxt.append(nk)
         layer = nxt
-    labs = g.labels
+    return _walk_back(g, expand, dist1, t1, t2, lambda u, v: 1)
+
+
+def _walk_back(g: Graph, expand, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequence:
+    """The path that steps back from each tree x, t2 first, to its neighbour
+    nk of least (dist[nk], nk) with dist[nk] + cost(u, v) == dist[x], until
+    t1; ``dist`` must be exact from t1 on every tree of a shortest path."""
     moves = []
-    key = k2
-    while key != k1:
-        want = dist1[key] - 1
-        key, u, v = min((nk, u, v) for u, v, nk in expand(key) if dist1.get(nk) == want)
-        moves.append(SwapMove(labs[v], labs[u]))
+    key, start_key = t2.canonical_key(), t1.canonical_key()
+    while key != start_key:
+        d = dist[key]
+        _, key, u, v = min((dist[nk], nk, u, v) for u, v, nk in expand(key)
+                           if nk in dist and dist[nk] + cost(u, v) == d)
+        moves.append(SwapMove(g.labels[v], g.labels[u]))
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
-def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree, pred: dict,
+def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree,
                   node_budget: int = DEFAULT_NODE_BUDGET):
     """Uniform-cost search from t1: yields (key, d) as each tree is settled,
-    in (d, key) heap order, and records in ``pred`` each reached tree's
-    predecessor (key, u, v), replaced only by a strictly shorter route."""
+    in (d, key) heap order."""
     if not is_valid(g, t1):
         raise InvalidArgument("not an elimination tree of the given graph")
     wi = check_weights(g, w)
@@ -196,18 +201,19 @@ def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree, pred: dict,
             nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
                 best[nk] = nd
-                pred[nk] = (key, u, v)
                 heapq.heappush(heap, (nd, nk))
 
 
-def _settle(g: Graph, w, t1: ElimTree, t2: ElimTree, pred: dict, node_budget: int) -> int:
-    """Run the uniform-cost search from t1 until t2 is settled; t2's distance."""
+def _settle(g: Graph, w, t1: ElimTree, t2: ElimTree, node_budget: int) -> dict[bytes, int]:
+    """Run the uniform-cost search from t1 until t2 is settled; every distance settled."""
     if not is_valid(g, t2):
         raise InvalidArgument("not an elimination tree of the given graph")
     target = t2.canonical_key()
-    for key, d in _uniform_cost(g, w, t1, pred, node_budget):
+    settled = {}
+    for key, d in _uniform_cost(g, w, t1, node_budget):
+        settled[key] = d
         if key == target:
-            return d
+            return settled
     raise AssertionError("flip graph is connected; target must be reached")
 
 
@@ -219,7 +225,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    return _settle(g, w, t1, t2, {}, node_budget)
+    return _settle(g, w, t1, t2, node_budget)[t2.canonical_key()]
 
 
 def weighted_shortest_path(
@@ -229,16 +235,13 @@ def weighted_shortest_path(
     t2: ElimTree,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ReconfigSequence:
-    """A minimum-weight reconfiguration sequence (uniform-cost search with
-    predecessors; ties broken by canonical key through the heap order)."""
-    pred: dict[bytes, tuple[bytes, int, int]] = {}
-    _settle(g, w, t1, t2, pred, node_budget)
-    key, start_key = t2.canonical_key(), t1.canonical_key()
-    moves = []
-    while key != start_key:
-        key, u, v = pred[key]
-        moves.append(SwapMove(g.labels[u], g.labels[v]))
-    return ReconfigSequence(t1, tuple(reversed(moves)))
+    """A minimum-weight reconfiguration sequence; each tree's predecessor is
+    its optimal neighbour of least (distance, key), the first one settled."""
+    dist = _settle(g, w, t1, t2, node_budget)
+    wi = check_weights(g, w)
+    # the walk re-expands only the path's trees, outside the node budget
+    return _walk_back(g, lambda key: swap_neighbors(g.adj, key), dist, t1, t2,
+                      lambda u, v: wi[u] * wi[v])
 
 
 # -- explicit materialization and diameter ------------------------------
@@ -368,8 +371,6 @@ def _tree_orbits(g: Graph, keys: Sequence[bytes]):
 
     label = np.arange(len(keys))
     gens = automorphism_generators(g)
-    if not gens:
-        return label
     trees = np.asarray(_unpack(b"".join(keys), g.n)).reshape(len(keys), g.n)
     order = np.lexsort(trees.T)
     perms = []

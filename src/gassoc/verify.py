@@ -141,7 +141,7 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])
                     # One search from ti, stopped once every tree is settled.
-                    settled = dict(islice(_uniform_cost(g, w, ti, {}), len(trees)))
+                    settled = dict(islice(_uniform_cost(g, w, ti), len(trees)))
                     for j, tj in enumerate(trees):
                         report.checked += 1
                         dist_w = settled[tj.canonical_key()]

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from gassoc.elimtree import ElimTree, SwapMove
+from gassoc.elimtree import ElimTree, SwapMove, swap_neighbors
 from gassoc.errors import InvalidArgument, ResourceLimit
 from gassoc.graph import Graph
 from gassoc.flipgraph import (
@@ -271,6 +271,60 @@ def _reference_weighted_distances(trees, adj, w, source):
     return [dist[j] for j in range(len(trees))]
 
 
+def reference_weighted_path(g, w, t1, t2):
+    """Uniform-cost search from t1 that records each reached tree's
+    predecessor (key, u, v), replaced only by a strictly shorter route, and
+    follows them back from t2 once t2 is popped."""
+    start, target = t1.canonical_key(), t2.canonical_key()
+    best, pred, heap = {start: 0}, {}, [(0, start)]
+    while (top := heapq.heappop(heap))[1] != target:
+        d, key = top
+        if d > best[key]:
+            continue
+        for u, v, nk in swap_neighbors(g.adj, key):
+            nd = d + w[g.labels[u]] * w[g.labels[v]]
+            if nk not in best or nd < best[nk]:
+                best[nk] = nd
+                pred[nk] = (key, u, v)
+                heapq.heappush(heap, (nd, nk))
+    moves, key = [], target
+    while key != start:
+        key, u, v = pred[key]
+        moves.append(SwapMove(g.labels[u], g.labels[v]))
+    return tuple(reversed(moves))
+
+
+def _r8_pair(seed):
+    """random_connected_graph(8, 0.3, seed), weights 1 + i % 3 in label order,
+    and the trees of a shuffled order and of its reverse."""
+    g = random_connected_graph(8, 0.3, seed)
+    w = {lab: 1 + i % 3 for i, lab in enumerate(g.labels)}
+    order = list(g.labels)
+    random.Random(0).shuffle(order)
+    return g, w, ElimTree.from_ordering(g, order), ElimTree.from_ordering(g, order[::-1])
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_weighted_path_matches_the_predecessor_walk(seed):
+    g, w, t1, t2 = _r8_pair(seed)
+    seq = weighted_shortest_path(g, w, t1, t2)
+    assert seq.moves == reference_weighted_path(g, w, t1, t2)
+    assert moves_weight(seq.moves, w) == weighted_distance(g, w, t1, t2)
+
+
+def test_weighted_path_keeps_no_predecessors():
+    # the search keeps settled distances and rebuilds the path from them
+    g, w, t1, t2 = _r8_pair(1)
+    weighted_shortest_path(g, w, t1, t1)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        assert len(weighted_shortest_path(g, w, t1, t2)) == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 2**20
+
+
 def test_weighted_distance_matches_its_core_and_a_reference():
     # Every connected graph with n <= 4, two seeded weight vectors each,
     # every ordered pair of trees: the per-pair coverage that the
@@ -284,13 +338,14 @@ def test_weighted_distance_matches_its_core_and_a_reference():
                 w = {lab: rng.randint(1, 5) for lab in g.labels}
                 for i, ti in enumerate(trees):
                     ref = _reference_weighted_distances(trees, adj, w, i)
-                    core = dict(_uniform_cost(g, w, ti, {}))
+                    core = dict(_uniform_cost(g, w, ti))
                     assert len(core) == len(trees)
                     for j, tj in enumerate(trees):
                         d = weighted_distance(g, w, ti, tj)
                         seq = weighted_shortest_path(g, w, ti, tj)
                         assert d == core[tj.canonical_key()] == ref[j]
                         assert moves_weight(seq.moves, w) == d
+                        assert seq.moves == reference_weighted_path(g, w, ti, tj)
                         ok, final = validate_sequence(g, seq)
                         assert ok and final.canonical_key() == tj.canonical_key()
                         paths.update(" ".join(f"{m.u}{m.v}" for m in seq.moves).encode() + b";")

@@ -81,12 +81,19 @@ FRUCHT = _graph(12, [(i, (i + 1) % 12) for i in range(12)] + [
     (i, (i + d) % 12) for i, d in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])
     if i < (i + d) % 12])
 
+# 4-regular with order 2: refinement splits nothing, and one branch reaches a
+# leaf whose vertex map is no automorphism, which the leaf check rejects
+REG4 = _graph(10, [(0, 2), (0, 5), (0, 7), (0, 9), (1, 3), (1, 5), (1, 7), (1, 8), (2, 5),
+                   (2, 6), (2, 7), (3, 4), (3, 5), (3, 8), (4, 6), (4, 8), (4, 9), (6, 8),
+                   (6, 9), (7, 9)])
+
 
 @pytest.mark.parametrize(
     "g, order",
     [(PETERSEN, 120), (CUBE, 48), (K33, 72), (cycle_graph(12), 24),
-     (path_graph(20), 2), (complete_graph(8), 40320), (star_graph(9), 40320), (FRUCHT, 1)],
-    ids=["petersen", "cube", "k33", "c12", "p20", "k8", "s9", "frucht"],
+     (path_graph(20), 2), (complete_graph(8), 40320), (star_graph(9), 40320), (FRUCHT, 1),
+     (REG4, 2)],
+    ids=["petersen", "cube", "k33", "c12", "p20", "k8", "s9", "frucht", "reg4"],
 )
 def test_named_group_orders(g, order):
     start = time.perf_counter()
