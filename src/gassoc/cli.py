@@ -18,8 +18,8 @@ from .errors import InvalidArgument, ParseError, ResourceLimit
 from .flipgraph import (
     DEFAULT_NODE_BUDGET,
     _diameter,
+    _flip_graph,
     distance,
-    enumerate_all,
     flip_graph_dot,
     moves_weight,
     shortest_path,
@@ -85,8 +85,7 @@ def cmd_enumerate(args) -> int:
     if args.dot:
         print(flip_graph_dot(g, cap=args.node_budget), end="")
         return 0
-    trees = enumerate_all(g, cap=args.node_budget)
-    _emit(args, {"count": len(trees)})
+    _emit(args, {"count": len(_flip_graph(g, args.node_budget)[0])})
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, SwapMove, _Replay, _unpack, is_valid, swap_neighbors
@@ -82,25 +81,11 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
     return _trees(g, sorted(_flip_graph(g, cap)[0]))
 
 
-def _budgeted_expand(g: Graph, node_budget: int):
-    """The swap kernel on ``g``, counting the states it expands against the
-    node budget."""
-    adj = g.adj
-    expanded = count(1)
-
-    def expand(key: bytes):
-        if next(expanded) > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
-        return swap_neighbors(adj, key)
-
-    return expand
-
-
-def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
+def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
     """Bidirectional BFS between two trees of ``g``, expanding the smaller
-    frontier one whole level at a time. Returns the distance d, the maps
-    from key to distance of the searches from t1 and from t2, and the keys
-    of the trees where the two met."""
+    frontier one whole level at a time, at most ``node_budget`` states in
+    all. Returns the distance d, the maps from key to distance of the
+    searches from t1 and from t2, and the keys of the trees where the two met."""
     if not (is_valid(g, t1) and is_valid(g, t2)):
         raise InvalidArgument("not an elimination tree of the given graph")
     k1, k2 = t1.canonical_key(), t2.canonical_key()
@@ -109,15 +94,19 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, expand):
         return 0, dist, [k2]
     frontier = [[k1], [k2]]
     depth = [0, 0]
+    expanded = 0
     while True:
         if not frontier[0] or not frontier[1]:
             raise AssertionError("flip graph is connected; search must meet")
         side = 1 if len(frontier[0]) > len(frontier[1]) else 0
+        expanded += len(frontier[side])
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
         mine, other = dist[side], dist[1 - side]
         level = depth[side] + 1
         nxt, meets = [], []
         for key in frontier[side]:
-            for _, _, nk in expand(key):
+            for _, _, nk in swap_neighbors(g.adj, key):
                 if nk not in mine:
                     mine[nk] = level
                     nxt.append(nk)
@@ -136,7 +125,7 @@ def distance(
     g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Flip distance by bidirectional BFS over the implicit graph."""
-    return _bidirectional_bfs(g, t1, t2, _budgeted_expand(g, node_budget))[0]
+    return _bidirectional_bfs(g, t1, t2, node_budget)[0]
 
 
 def shortest_path(
@@ -147,8 +136,7 @@ def shortest_path(
     Each tree's predecessor is its smallest-key neighbour one step closer
     to t1, as in a BFS from t1 that expands each level in key order.
     """
-    expand = _budgeted_expand(g, node_budget)
-    d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, expand)
+    d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, node_budget)
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
     # find them by descending from the meeting trees (one level of the search
@@ -159,62 +147,61 @@ def shortest_path(
         level -= 1
         nxt = []
         for key in layer:
-            for _, _, nk in expand(key):
+            for _, _, nk in swap_neighbors(g.adj, key):
                 if dist2.get(nk) == level and nk not in dist1:
                     dist1[nk] = d - level
                     nxt.append(nk)
         layer = nxt
-    return _walk_back(g, expand, dist1, t1, t2, lambda u, v: 1)
+    return _walk_back(g, dist1, t1, t2, lambda u, v: 1)
 
 
-def _walk_back(g: Graph, expand, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequence:
+def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequence:
     """The path that steps back from each tree x, t2 first, to its neighbour
     nk of least (dist[nk], nk) with dist[nk] + cost(u, v) == dist[x], until
-    t1; ``dist`` must be exact from t1 on every tree of a shortest path."""
+    t1. ``dist`` holds upper bounds on the distance from t1, exact on every
+    tree of a shortest path. It re-expands only the path's trees, unbudgeted."""
     moves = []
     key, start_key = t2.canonical_key(), t1.canonical_key()
     while key != start_key:
         d = dist[key]
-        _, key, u, v = min((dist[nk], nk, u, v) for u, v, nk in expand(key)
+        _, key, u, v = min((dist[nk], nk, u, v) for u, v, nk in swap_neighbors(g.adj, key)
                            if nk in dist and dist[nk] + cost(u, v) == d)
         moves.append(SwapMove(g.labels[v], g.labels[u]))
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
-def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree,
-                  node_budget: int = DEFAULT_NODE_BUDGET):
-    """Uniform-cost search from t1: yields (key, d) as each tree is settled,
-    in (d, key) heap order."""
-    if not is_valid(g, t1):
+def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree, target: ElimTree | None = None,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> dict[bytes, int]:
+    """Uniform-cost search from t1 in (d, key) heap order, expanding at most
+    ``node_budget`` states: its map from key to best distance, returned when
+    ``target`` is popped or, without one, once every tree is settled. With
+    positive weights every tree closer than the target was settled first, so
+    the map is exact there and an upper bound on the distance elsewhere."""
+    if not ((target is None or is_valid(g, target)) and is_valid(g, t1)):
         raise InvalidArgument("not an elimination tree of the given graph")
     wi = check_weights(g, w)
-    expand = _budgeted_expand(g, node_budget)
+    goal = None if target is None else target.canonical_key()
     start_key = t1.canonical_key()
     heap: list[tuple[int, bytes]] = [(0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
+    expanded = 0
     while heap:
         d, key = heapq.heappop(heap)
         if d > best[key]:
             continue  # a stale entry of a tree already expanded
-        yield key, d
-        for u, v, nk in expand(key):
+        if key == goal:
+            return best
+        expanded += 1
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        for u, v, nk in swap_neighbors(g.adj, key):
             nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
                 best[nk] = nd
                 heapq.heappush(heap, (nd, nk))
-
-
-def _settle(g: Graph, w, t1: ElimTree, t2: ElimTree, node_budget: int) -> dict[bytes, int]:
-    """Run the uniform-cost search from t1 until t2 is settled; every distance settled."""
-    if not is_valid(g, t2):
-        raise InvalidArgument("not an elimination tree of the given graph")
-    target = t2.canonical_key()
-    settled = {}
-    for key, d in _uniform_cost(g, w, t1, node_budget):
-        settled[key] = d
-        if key == target:
-            return settled
-    raise AssertionError("flip graph is connected; target must be reached")
+    if goal is not None:
+        raise AssertionError("flip graph is connected; target must be reached")
+    return best
 
 
 def weighted_distance(
@@ -225,7 +212,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    return _settle(g, w, t1, t2, node_budget)[t2.canonical_key()]
+    return _uniform_cost(g, w, t1, t2, node_budget)[t2.canonical_key()]
 
 
 def weighted_shortest_path(
@@ -237,11 +224,9 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence; each tree's predecessor is
     its optimal neighbour of least (distance, key), the first one settled."""
-    dist = _settle(g, w, t1, t2, node_budget)
+    dist = _uniform_cost(g, w, t1, t2, node_budget)
     wi = check_weights(g, w)
-    # the walk re-expands only the path's trees, outside the node budget
-    return _walk_back(g, lambda key: swap_neighbors(g.adj, key), dist, t1, t2,
-                      lambda u, v: wi[u] * wi[v])
+    return _walk_back(g, dist, t1, t2, lambda u, v: wi[u] * wi[v])
 
 
 # -- explicit materialization and diameter ------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 
 from .elimtree import ElimTree, SwapMove, _Projector, _Replay, _pack, _shape, swap_neighbors
 from .flipgraph import (
@@ -140,8 +140,7 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
                 for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])
-                    # One search from ti, stopped once every tree is settled.
-                    settled = dict(islice(_uniform_cost(g, w, ti), len(trees)))
+                    settled = _uniform_cost(g, w, ti)  # one search from ti settles every tree
                     for j, tj in enumerate(trees):
                         report.checked += 1
                         dist_w = settled[tj.canonical_key()]

@@ -367,8 +367,22 @@ def test_diameter_command_builds_no_trees(files, capsys, monkeypatch):
     code, out = run(capsys, "diameter", p8)
     assert code == 0 and out.startswith("diameter 11\nvertices 1430\n")
     assert calls == []
-    assert main(["enumerate", p8]) == 0
-    assert len(calls) == 1430  # the counter sees the trees enumerate builds
+    assert main(["enumerate", "--dot", p8]) == 0
+    assert len(calls) == 1430  # the counter sees the trees the DOT export builds
+
+
+def test_enumerate_command_builds_no_trees(files, capsys, monkeypatch):
+    # the count is the number of keys the flip-graph BFS stored
+    from gassoc import flipgraph
+
+    def refuse(*args):
+        raise AssertionError("a tree was built per flip-graph vertex")
+
+    monkeypatch.setattr(flipgraph, "_trees", refuse)
+    p3 = files("p3.txt", P3)
+    assert run(capsys, "enumerate", p3) == (0, "count 5\n")
+    assert run(capsys, "--node-budget", "5", "enumerate", p3) == (0, "count 5\n")
+    assert main(["--node-budget", "4", "enumerate", p3]) == 4
 
 
 @pytest.mark.parametrize(

@@ -312,17 +312,64 @@ def test_weighted_path_matches_the_predecessor_walk(seed):
     assert moves_weight(seq.moves, w) == weighted_distance(g, w, t1, t2)
 
 
-def test_weighted_path_keeps_no_predecessors():
-    # the search keeps settled distances and rebuilds the path from them
+def _traced_peak(query):
+    """A weighted query on the R8 pair of seed 1: its result and traced peak."""
     g, w, t1, t2 = _r8_pair(1)
-    weighted_shortest_path(g, w, t1, t1)  # warm up outside the trace
+    query(g, w, t1, t1)  # warm up outside the trace
     tracemalloc.start()
     try:
-        assert len(weighted_shortest_path(g, w, t1, t2)) == 10
-        peak = tracemalloc.get_traced_memory()[1]
+        return query(g, w, t1, t2), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 2**20
+
+
+def test_weighted_path_keeps_no_predecessors():
+    # one distance map per search and no predecessors: the walk rebuilds the path from it
+    seq, peak = _traced_peak(weighted_shortest_path)
+    assert len(seq) == 10 and peak < 0.8 * 2**20
+
+
+def test_weighted_distance_keeps_one_map():
+    d, peak = _traced_peak(weighted_distance)
+    assert d == 31 and peak < 0.8 * 2**20
+
+
+def _least_budget(search, hi):
+    """The least node budget under which ``search(budget)`` succeeds, given
+    that it succeeds at ``hi``: success is monotone in the budget."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            search(mid)
+            hi = mid
+        except ResourceLimit:
+            lo = mid + 1
+    return lo
+
+
+def _needs_exactly(search, budget):
+    with pytest.raises(ResourceLimit, match=f"node budget {budget - 1} exceeded"):
+        search(budget - 1)
+    search(budget)
+
+
+def test_path_queries_cost_what_their_distance_costs():
+    # path rebuilds re-expand outside the budget, so each path query
+    # succeeds under exactly the budgets its distance query does
+    readme = random_connected_graph(8, 0.3, 1)
+    pairs = [(readme, ElimTree.from_ordering(readme, readme.labels),
+              ElimTree.from_ordering(readme, readme.labels[::-1]))]
+    pairs += [(g, t1, t2) for g, _, t1, t2 in map(_r8_pair, range(1, 7))]
+    least = []
+    for g, t1, t2 in pairs:
+        b = _least_budget(lambda nb: distance(g, t1, t2, node_budget=nb), 10_000)
+        _needs_exactly(lambda nb: shortest_path(g, t1, t2, node_budget=nb), b)
+        least.append(b)
+    assert least[0] == 1675  # the README pair
+    g, w, t1, t2 = _r8_pair(1)
+    for query in (weighted_distance, weighted_shortest_path):
+        _needs_exactly(lambda nb: query(g, w, t1, t2, node_budget=nb), 4691)
 
 
 def test_weighted_distance_matches_its_core_and_a_reference():
@@ -338,7 +385,7 @@ def test_weighted_distance_matches_its_core_and_a_reference():
                 w = {lab: rng.randint(1, 5) for lab in g.labels}
                 for i, ti in enumerate(trees):
                     ref = _reference_weighted_distances(trees, adj, w, i)
-                    core = dict(_uniform_cost(g, w, ti))
+                    core = _uniform_cost(g, w, ti)
                     assert len(core) == len(trees)
                     for j, tj in enumerate(trees):
                         d = weighted_distance(g, w, ti, tj)

@@ -33,7 +33,7 @@ tracer = tracing.Tracer()
 tracer.install()
 wrapped = [hasattr(resolve(mod, attr), "__wrapped__") for mod, attr, _ in tracing.TARGETS]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = gassoc.cli.main(["enumerate", sys.argv[2]])
+    code = gassoc.cli.main(["enumerate", "--dot", sys.argv[2]])
 tracer.uninstall()
 after = [resolve(mod, attr) for mod, attr, _ in tracing.TARGETS]
 print(json.dumps({
@@ -41,7 +41,7 @@ print(json.dumps({
     "restored": all(a is b for a, b in zip(before, after)),
     "code": code,
     "main_calls": tracer.calls["cli.main"],
-    "enumerate_calls": tracer.calls["flipgraph.enumerate_all"],
+    "flip_graph_calls": tracer.calls["flipgraph.explicit_flip_graph"],
 }))
 """
 
@@ -60,5 +60,5 @@ def test_tracer_installs_on_every_target(tmp_path):
         "restored": True,
         "code": 0,
         "main_calls": 1,
-        "enumerate_calls": 1,
+        "flip_graph_calls": 1,
     }

@@ -206,7 +206,7 @@ def test_blowup_suite_reports_a_failure(monkeypatch):
     uniform_cost = verify._uniform_cost
     monkeypatch.setattr(
         verify, "_uniform_cost",
-        lambda *args: ((key, d + 1) for key, d in uniform_cost(*args)),
+        lambda *args: {key: d + 1 for key, d in uniform_cost(*args).items()},
     )
     report = verify_blowup_suite(max_total=4)
     assert not report.ok and len(report.failures) == report.checked
