@@ -13,7 +13,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, SwapMove, _Replay, _unpack, is_valid, swap_neighbors
+from .elimtree import (
+    ElimTree, SwapMove, _Replay, _down_swaps, _unpack, is_valid, swap_neighbors
+)
 from .errors import InvalidArgument, ResourceLimit
 from .graph import Graph, automorphism_generators, check_weights
 
@@ -77,7 +79,7 @@ def weighted_length(seq: ReconfigSequence, w: Mapping[str, int]) -> int:
 
 
 def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
-    """All elimination trees of ``g`` by BFS over swaps, sorted by key."""
+    """All elimination trees of ``g`` from the flip-graph build, sorted by key."""
     return _trees(g, sorted(_flip_graph(g, cap)[0]))
 
 
@@ -170,16 +172,23 @@ def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequ
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
-def _uniform_cost(g: Graph, w: Mapping[str, int], t1: ElimTree, target: ElimTree | None = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> dict[bytes, int]:
-    """Uniform-cost search from t1 in (d, key) heap order, expanding at most
-    ``node_budget`` states: its map from key to best distance, returned when
-    ``target`` is popped or, without one, once every tree is settled. With
-    positive weights every tree closer than the target was settled first, so
-    the map is exact there and an upper bound on the distance elsewhere."""
-    if not ((target is None or is_valid(g, target)) and is_valid(g, t1)):
+def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree) -> list[int]:
+    """The weights of a query on trees t1, t2 of ``g`` as ints in label
+    order, once t2, then t1, then the weights are checked."""
+    if not (is_valid(g, t2) and is_valid(g, t1)):
         raise InvalidArgument("not an elimination tree of the given graph")
-    wi = check_weights(g, w)
+    return check_weights(g, w)
+
+
+def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> dict[bytes, int]:
+    """Uniform-cost search from t1, a tree of ``g``, under the checked
+    positive integer weights ``wi`` in label order, in (d, key) heap order,
+    expanding at most ``node_budget`` states: its map from key to best
+    distance, returned when ``target`` is popped or, without one, once every
+    tree is settled. With positive weights every tree closer than the target
+    was settled first, so the map is exact there and an upper bound on the
+    distance elsewhere."""
     goal = None if target is None else target.canonical_key()
     start_key = t1.canonical_key()
     heap: list[tuple[int, bytes]] = [(0, start_key)]
@@ -212,7 +221,8 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    return _uniform_cost(g, w, t1, t2, node_budget)[t2.canonical_key()]
+    wi = _checked_weights(g, w, t1, t2)
+    return _uniform_cost(g, wi, t1, t2, node_budget)[t2.canonical_key()]
 
 
 def weighted_shortest_path(
@@ -224,8 +234,8 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence; each tree's predecessor is
     its optimal neighbour of least (distance, key), the first one settled."""
-    dist = _uniform_cost(g, w, t1, t2, node_budget)
-    wi = check_weights(g, w)
+    wi = _checked_weights(g, w, t1, t2)
+    dist = _uniform_cost(g, wi, t1, t2, node_budget)
     return _walk_back(g, dist, t1, t2, lambda u, v: wi[u] * wi[v])
 
 
@@ -233,25 +243,43 @@ def weighted_shortest_path(
 
 
 def _flip_graph(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> tuple[list[bytes], list[list[int]]]:
-    """One BFS over swaps: every tree's key in discovery order, and rows[i]
-    the indices of the n - 1 neighbours of keys[i]. The flip graph is
-    connected, so any start tree reaches everything. ``cap`` bounds the keys
-    stored, the first one included."""
+    """Every tree's key in discovery order, and rows[i] the indices of the
+    n - 1 neighbours of keys[i]. ``cap`` bounds the keys stored, the first
+    one included.
+
+    One search from the start tree S = ``from_ordering(g, g.labels)`` that
+    expands only down-swaps: swap(u, v) with parent index u < child index v.
+    Each key found goes into both rows, so every edge is built exactly
+    once, from its upper end. Every tree is reached:
+
+    - A tree with no child of smaller index than its parent has index
+      order as a linear extension, so it is S.
+    - Let phi(T) = sum over i of (n - i) * x_i(T), x the Devadoss
+      coordinates. A swap(u, v) moves x along e_u - e_v and x_u strictly
+      drops, so phi strictly drops along every down-swap.
+    - Taking up-swaps from any tree therefore ends at S; reversed, that
+      walk is a chain of down-swaps from S.
+
+    This is the orientation of the polymatroid base polytope's edges by a
+    generic linear functional, with S its one source.
+    """
     start = ElimTree.from_ordering(g, g.labels).canonical_key()
     if cap < 1:
         raise ResourceLimit(f"enumeration cap {cap} exceeded")
-    keys, ids, rows = [start], {start: 0}, []
+    keys, ids, rows = [start], {start: 0}, [[]]
     for key in keys:  # FIFO: the list grows while it is scanned
-        row = []
-        for _, _, nk in swap_neighbors(g.adj, key):
+        i = ids[key]  # the int object the other rows hold; enumerate would add one per tree
+        row = rows[i]
+        for _, _, nk in _down_swaps(g.adj, key):
             j = ids.get(nk)
             if j is None:
                 if len(keys) >= cap:
                     raise ResourceLimit(f"enumeration cap {cap} exceeded")
                 j = ids[nk] = len(keys)
                 keys.append(nk)
+                rows.append([])
+            rows[j].append(i)
             row.append(j)
-        rows.append(row)
     return keys, rows
 
 

@@ -140,7 +140,7 @@ def verify_blowup_suite(max_total: int = 7, seed: int = 0) -> SuiteReport:
                 lifted = [ids_p[blowup_tree(inst, t).canonical_key()] for t in trees]
                 for i, ti in enumerate(trees):
                     dist_p = bfs_distances(adj_p, lifted[i])
-                    settled = _uniform_cost(g, w, ti)  # one search from ti settles every tree
+                    settled = _uniform_cost(g, ws, ti)  # one search from ti settles every tree
                     for j, tj in enumerate(trees):
                         report.checked += 1
                         dist_w = settled[tj.canonical_key()]

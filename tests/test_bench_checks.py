@@ -1,9 +1,10 @@
 """The benchmark's answer checks pass on the program as it is.
 
-One pass of the ``dist``, ``diameter`` and ``reduce`` op lists that
-``perfbench/workloads.py`` builds at seed 1 runs through ``gassoc.cli.main``
-in a temporary directory. Every call must exit 0, pass its own check, and
-a repeated call must print what its first run printed. ``workloads`` is
+One pass of the ``dist``, ``diameter``, ``reduce`` and ``verify`` op
+lists that ``perfbench/workloads.py`` builds at seed 1 runs through
+``gassoc.cli.main`` in a temporary directory. Every call must exit 0,
+pass its own check, and a repeated call must print what its first run
+printed. ``workloads`` is
 loaded in a subprocess that writes no bytecode, so nothing under
 ``perfbench/`` changes.
 """
@@ -26,7 +27,7 @@ from gassoc.cli import main
 problems, calls = [], 0
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
-    for name in ("dist", "diameter", "reduce"):
+    for name in ("dist", "diameter", "reduce", "verify"):
         work = Path(tmp) / name
         work.mkdir()
         _, ops = workloads.BUILDERS[name](1, work)

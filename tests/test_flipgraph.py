@@ -15,9 +15,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from gassoc import flipgraph
 from gassoc.elimtree import ElimTree, SwapMove, swap_neighbors
 from gassoc.errors import InvalidArgument, ResourceLimit
-from gassoc.graph import Graph
+from gassoc.graph import Graph, check_weights
 from gassoc.flipgraph import (
     ReconfigSequence,
     _diameter,
@@ -385,7 +386,7 @@ def test_weighted_distance_matches_its_core_and_a_reference():
                 w = {lab: rng.randint(1, 5) for lab in g.labels}
                 for i, ti in enumerate(trees):
                     ref = _reference_weighted_distances(trees, adj, w, i)
-                    core = _uniform_cost(g, w, ti)
+                    core = _uniform_cost(g, [w[lab] for lab in g.labels], ti)
                     assert len(core) == len(trees)
                     for j, tj in enumerate(trees):
                         d = weighted_distance(g, w, ti, tj)
@@ -415,6 +416,28 @@ def test_weighted_rejects_missing_weight():
     t = ElimTree.from_ordering(g, g.labels)
     with pytest.raises(InvalidArgument):
         weighted_distance(g, {"1": 1, "2": 1}, t, t)
+
+
+def test_weighted_queries_check_the_weights_once(monkeypatch):
+    # the search and the walk share one pass over the weights, made after
+    # both trees are checked
+    calls = []
+
+    def counting(g, w):
+        calls.append(w)
+        return check_weights(g, w)
+
+    monkeypatch.setattr(flipgraph, "check_weights", counting)
+    g, w, t1, t2 = _r8_pair(1)
+    other = ElimTree.from_ordering(path_graph(8), path_graph(8).labels)
+    for query in (weighted_distance, weighted_shortest_path):
+        calls.clear()
+        query(g, w, t1, t2)
+        assert calls == [w]
+        for pair in ((t1, other), (other, t2)):
+            with pytest.raises(InvalidArgument, match="not an elimination tree"):
+                query(g, {}, *pair)
+        assert calls == [w]
 
 
 def test_validate_sequence_flags_illegal():

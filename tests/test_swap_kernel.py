@@ -11,11 +11,14 @@ against copies of their earlier tree-by-tree code, on ``oracle_project``.
 
 import random
 from array import array
+from functools import cache
 from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassoc import flipgraph
 from gassoc.elimtree import (
     ElimTree,
     SwapMove,
@@ -33,6 +36,7 @@ from gassoc.flipgraph import (
     ReconfigSequence, _flip_graph, enumerate_all, explicit_flip_graph, validate_sequence
 )
 from gassoc.graph import Graph, induced_subgraph, iter_bits
+from gassoc.polymatroid import devadoss_coordinates
 from gassoc.reductions import (
     build_unweighted_instance,
     build_weighted_instance,
@@ -322,11 +326,22 @@ def test_explicit_flip_graph_matches_oracle():
         assert adj == [sorted(ids[nb] for nb in found[t]) for t in order]
 
 
+def relabelled(g, seed):
+    """``g`` with its labels shuffled and its vertices reindexed in sorted
+    label order: the same graph class in another index order."""
+    labels = list(g.labels)
+    random.Random(seed).shuffle(labels)
+    rename = dict(zip(g.labels, labels))
+    return Graph(sorted(labels), [(rename[a], rename[b]) for a, b in g.edges])
+
+
 def test_flip_graph_core_matches_oracle():
-    # the unsorted core: keys in discovery order, rows of indices into them
+    # the unsorted core: keys in discovery order, rows of indices into them;
+    # the build orients edges by index order, so relabelled copies too
     graphs = [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
     graphs += [path_graph(8), cycle_graph(7), star_graph(6), complete_graph(6),
                random_connected_graph(7, 0.4, 1)]
+    graphs += [relabelled(g, seed) for seed, g in enumerate(graphs)]
     for g in graphs:
         found = {
             _pack(t): sorted(_pack(nb) for nb in nbs)
@@ -337,6 +352,97 @@ def test_flip_graph_core_matches_oracle():
         assert len(rows) == len(keys)
         for key, row in zip(keys, rows):
             assert sorted(keys[j] for j in row) == found[key]
+
+
+def test_down_swaps_orient_the_flip_graph_from_the_start_tree():
+    # The lemma behind _flip_graph, on every connected class with n <= 6:
+    # the start tree is the only tree with no child of smaller index than
+    # its parent, and along a down-swap(u, v), parent index u below child
+    # index v, the Devadoss coordinates move along e_u - e_v with x_u
+    # dropping, so phi = sum (n - i) * x_i strictly drops.
+    swaps = 0
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            start = ElimTree.from_ordering(g, g.labels).canonical_key()
+            points = {}
+
+            def point(key):
+                """The tree's Devadoss coordinates in index order, and phi."""
+                if key not in points:
+                    x = devadoss_coordinates(g, ElimTree._trusted(g, tuple(_unpack(key, n))))
+                    x = [x[lab] for lab in g.labels]
+                    points[key] = x, sum((n - i) * xi for i, xi in enumerate(x))
+                return points[key]
+
+            seen, queue = {start}, [start]
+            for key in queue:  # a BFS over all swaps, not the build under test
+                up = 0
+                for u, v, nk in swap_neighbors(g.adj, key):
+                    if nk not in seen:
+                        seen.add(nk)
+                        queue.append(nk)
+                    if u > v:
+                        up += 1
+                    else:
+                        (x, phi), (nx, nphi) = point(key), point(nk)
+                        diff = [b - a for a, b in zip(x, nx)]
+                        assert diff[u] < 0 and diff[v] == -diff[u]
+                        assert diff.count(0) == n - 2
+                        assert nphi < phi
+                    swaps += 1
+                assert (up == 0) == (key == start)
+    assert swaps == 242_308
+
+
+@pytest.mark.parametrize(
+    "builder, edges",
+    [(lambda: path_graph(9), 19_448), (lambda: cycle_graph(8), 12_012),
+     (lambda: star_graph(7), 5_871), (lambda: complete_graph(6), 1_800)],
+    ids=["P9", "C8", "S7", "K6"],
+)
+def test_flip_graph_builds_each_edge_once(monkeypatch, builder, edges):
+    # N trees of degree n - 1 have N(n - 1)/2 edges: the kernel yields
+    # each one once inside the build
+    yielded = []
+
+    def counting(adj, key):
+        for swap in kernel(adj, key):
+            yielded.append(swap)
+            yield swap
+
+    kernel = flipgraph._down_swaps
+    monkeypatch.setattr(flipgraph, "_down_swaps", counting)
+    g = builder()
+    keys, rows = _flip_graph(g)
+    assert len(yielded) == len(keys) * (g.n - 1) // 2 == edges
+    assert sum(map(len, rows)) == 2 * edges
+
+
+def tree_count(g):
+    """The number of elimination trees of ``g``, with no swaps: a tree of
+    G[S] is a root v in S over one tree of each component of G[S - v]."""
+    @cache
+    def count(s):
+        total = 0
+        for v in iter_bits(s):
+            rest, ways = s & ~(1 << v), 1
+            while rest:
+                comp = g.component_of((rest & -rest).bit_length() - 1, rest)
+                ways *= count(comp)
+                rest &= ~comp
+            total += ways
+        return total
+
+    return count(g.full_mask)
+
+
+def test_flip_graph_reaches_every_tree():
+    graphs = [g for n in range(1, 7) for g in connected_graphs_up_to_iso(n)]
+    graphs += [relabelled(g, seed) for seed, g in enumerate(
+        [path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6)])]
+    for g in graphs:
+        assert len(_flip_graph(g)[0]) == tree_count(g), g.edges
+    assert [tree_count(g) for g in graphs[-4:]] == [4862, 3432, 1957, 720]
 
 
 def test_is_valid_matches_oracle_on_every_spanning_tree():
