@@ -11,13 +11,15 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
-    ElimTree, SwapMove, _Replay, _down_swaps, _unpack, is_valid, swap_neighbors
+    ElimTree, SwapMove, _Replay, _down_swaps, _ordering_parent, _pack, _shape, _unpack,
+    is_valid, swap_neighbors
 )
 from .errors import InvalidArgument, ResourceLimit
-from .graph import Graph, automorphism_generators, check_weights
+from .graph import Graph, automorphism_generators, check_weights, iter_bits
 
 __all__ = [
     "ReconfigSequence",
@@ -84,12 +86,11 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
 
 
 def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
-    """Bidirectional BFS between two trees of ``g``, expanding the smaller
-    frontier one whole level at a time, at most ``node_budget`` states in
-    all. Returns the distance d, the maps from key to distance of the
-    searches from t1 and from t2, and the keys of the trees where the two met."""
-    if not (is_valid(g, t1) and is_valid(g, t2)):
-        raise InvalidArgument("not an elimination tree of the given graph")
+    """Bidirectional BFS between two checked trees of ``g``, expanding the
+    smaller frontier one whole level at a time, at most ``node_budget``
+    states in all. Returns the distance d, the maps from key to distance of
+    the searches from t1 and from t2, and the keys of the trees where the
+    two met."""
     k1, k2 = t1.canonical_key(), t2.canonical_key()
     dist = ({k1: 0}, {k2: 0})
     if k1 == k2:
@@ -123,11 +124,171 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
         frontier[side] = nxt
 
 
+def _twin_classes(adj: Sequence[int]) -> list[list[int]]:
+    """The true-twin classes of a graph given by its adjacency masks: the
+    vertices grouped by closed neighbourhood, each class in index order,
+    the classes in the order of their first vertices."""
+    classes: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        classes.setdefault(nbrs | 1 << v, []).append(v)
+    return list(classes.values())
+
+
+def _unit_bound(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int) -> _TwinBound | None:
+    """Check that t1 and t2 are trees of ``g``; then the averaging bound
+    towards t2 when ``g`` is a clique blow-up that A* pays off on, else None.
+    That needs at least 3 fewer twin classes than vertices, and at most 64
+    copy selections: below the first, the tables cost more than the search
+    saves; above the second, the projections per expanded tree do. The
+    count is multiplied up class by class and given up once above 64, so
+    no selection is listed for a graph over the cap."""
+    if not (is_valid(g, t1) and is_valid(g, t2)):
+        raise InvalidArgument("not an elimination tree of the given graph")
+    classes = _twin_classes(g.adj)
+    if g.n - len(classes) < 3:
+        return None
+    selections = 1
+    for members in classes:
+        selections *= len(members)
+        if selections > 64:
+            return None
+    return _TwinBound(g, classes, t2, node_budget)
+
+
+class _TwinBound:
+    """The paper's averaging bound on a clique blow-up, times S, towards t2.
+
+    A graph whose true-twin classes C_1, ..., C_k are not all single
+    vertices is the blow-up of its quotient Q: one vertex per class,
+    weighted by the class size. A copy selection phi takes one vertex of
+    each class and induces a copy of Q, so T|phi, the projection of a tree T
+    onto it, is a tree of Q. With S = prod |C_i| selections,
+
+        H(T) = sum over phi of d_w(T|phi, T2|phi) + S * twin(T),
+
+    twin(T) the number of same-class pairs ordered unlike in T2 (twins are
+    adjacent, so one is always the other's ancestor).
+
+    - A swap(u, v) across classes a, b moves T|phi only in the S / (|C_a|
+      |C_b|) selections holding both u and v, and there by the swap (a, b)
+      of Q, of weight |C_a| |C_b|; it reorders no twin pair.
+    - A swap of twins moves no projection (the child twin is the parent's
+      only child, so the swap just exchanges their names) and one pair.
+
+    So |H(T) - H(T')| <= S on every swap and H(T2) = 0: H / S is a
+    consistent lower bound on d(T, T2), the averaging step of the paper's
+    weighted-to-unweighted proof. On blow-up images every T|phi is the
+    source tree, and H(T1) = S * d(T1, T2) exactly.
+
+    The tables d_w(., T2|phi) come from one settle-all ``_uniform_cost`` on
+    Q per distinct T2|phi (one on blow-up images); ``spent`` is the number
+    of states they expanded, charged to ``node_budget``.
+    """
+
+    __slots__ = ("cls", "qadj", "masks", "holding", "pos2", "size", "tables", "spent", "_qtrees",
+                 "_qswaps")
+
+    def __init__(self, g: Graph, classes: Sequence[Sequence[int]], t2: ElimTree,
+                 node_budget: int = DEFAULT_NODE_BUDGET):
+        self.cls = [0] * g.n
+        for c, members in enumerate(classes):
+            for v in members:
+                self.cls[v] = c
+        reps = [members[0] for members in classes]
+        self.qadj = [sum(1 << j for j, r in enumerate(reps) if g.adj[a] >> r & 1) for a in reps]
+        q = Graph(map(str, range(len(reps))), [
+            (str(a), str(b)) for a, nbrs in enumerate(self.qadj) for b in iter_bits(nbrs) if a < b
+        ])
+        self.masks = [sum(1 << v for v in phi) for phi in product(*classes)]
+        self.size = len(self.masks)
+        self.holding = [0] * g.n  # bit i of holding[v]: selection i holds v
+        for i, mask in enumerate(self.masks):
+            for v in iter_bits(mask):
+                self.holding[v] |= 1 << i
+        order2 = _shape(t2.parent)[1]
+        self.pos2 = [0] * g.n
+        for i, v in enumerate(order2):
+            self.pos2[v] = i
+        sizes = [len(members) for members in classes]
+        self._qtrees: dict[tuple[int, ...], bytes] = {}
+        self._qswaps: dict[bytes, dict[tuple[int, int], bytes]] = {}
+        targets = self._project(order2)
+        tables: dict[bytes, dict[bytes, int]] = {}
+        self.spent = 0
+        for qk in targets:
+            if qk not in tables:
+                start = ElimTree._trusted(q, tuple(_unpack(qk, q.n)), key=qk)
+                tables[qk] = _uniform_cost(q, sizes, start, node_budget=node_budget,
+                                           spent=self.spent)
+                self.spent += len(tables[qk])  # a settle-all search expands each tree once
+        self.tables = [tables[qk] for qk in targets]
+
+    def _project(self, order: Sequence[int]) -> list[bytes]:
+        """The key of T|phi for every selection phi, from a root-first order
+        of T: the tree of Q whose vertex order is the classes of phi's
+        vertices in that order. Selections often share that order, so each
+        order's tree is built once."""
+        cls, memo, out = self.cls, self._qtrees, []
+        for mask in self.masks:
+            seq = tuple([cls[v] for v in order if mask >> v & 1])
+            qk = memo.get(seq)
+            if qk is None:
+                qk = memo[seq] = _pack(_ordering_parent(self.qadj, seq))
+            out.append(qk)
+        return out
+
+    def h(self, key: bytes) -> int:
+        """H of the tree with this key, from scratch."""
+        order = _shape(_unpack(key, len(self.cls)))[1]
+        seen: list[list[int]] = [[] for _ in self.qadj]  # T2 positions of each class so far
+        twin = 0
+        for v in order:
+            pos = self.pos2[v]
+            twin += sum(p > pos for p in seen[self.cls[v]])
+            seen[self.cls[v]].append(pos)
+        return self.size * twin + sum(t[qk] for t, qk in zip(self.tables, self._project(order)))
+
+    def expand(self, key: bytes):
+        """For the tree with this key, the function that gives the change of
+        H by its swap(u, v): T|phi is projected once here for every phi, and
+        the swap (a, b) moves it iff a is b's parent there."""
+        qkeys = self._project(_shape(_unpack(key, len(self.cls)))[1])
+        cls, pos2, holding, tables = self.cls, self.pos2, self.holding, self.tables
+        size = self.size
+
+        def delta(u: int, v: int) -> int:
+            a, b = cls[u], cls[v]
+            if a == b:
+                return size if pos2[u] < pos2[v] else -size
+            change = 0
+            for i in iter_bits(holding[u] & holding[v]):
+                qk = qkeys[i]
+                nq = self._swaps(qk).get((a, b))
+                if nq is not None:
+                    change += tables[i][nq] - tables[i][qk]
+            return change
+
+        return delta
+
+    def _swaps(self, qk: bytes) -> dict[tuple[int, int], bytes]:
+        """The swaps of the tree of Q with this key, (a, b) to the key after it."""
+        out = self._qswaps.get(qk)
+        if out is None:
+            out = self._qswaps[qk] = {(a, b): nq for a, b, nq in swap_neighbors(self.qadj, qk)}
+        return out
+
+
 def distance(
     g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
-    """Flip distance by bidirectional BFS over the implicit graph."""
-    return _bidirectional_bfs(g, t1, t2, node_budget)[0]
+    """Flip distance over the implicit graph: by A* under the averaging
+    bound when ``g`` is a clique blow-up that ``_unit_bound`` accepts, else
+    by bidirectional BFS."""
+    bound = _unit_bound(g, t1, t2, node_budget)
+    if bound is None:
+        return _bidirectional_bfs(g, t1, t2, node_budget)[0]
+    dist = _uniform_cost(g, None, t1, t2, node_budget, bound, spent=bound.spent)
+    return dist[t2.canonical_key()]
 
 
 def shortest_path(
@@ -138,6 +299,10 @@ def shortest_path(
     Each tree's predecessor is its smallest-key neighbour one step closer
     to t1, as in a BFS from t1 that expands each level in key order.
     """
+    bound = _unit_bound(g, t1, t2, node_budget)
+    if bound is not None:
+        dist1 = _uniform_cost(g, None, t1, t2, node_budget, bound, close=True, spent=bound.spent)
+        return _walk_back(g, dist1, t1, t2, lambda u, v: 1)
     d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, node_budget)
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
@@ -180,35 +345,58 @@ def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree)
     return check_weights(g, w)
 
 
-def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> dict[bytes, int]:
+def _uniform_cost(g: Graph, wi: Sequence[int] | None, t1: ElimTree, target: ElimTree | None = None,
+                  node_budget: int = DEFAULT_NODE_BUDGET, bound: _TwinBound | None = None,
+                  close: bool = False, spent: int = 0) -> dict[bytes, int]:
     """Uniform-cost search from t1, a tree of ``g``, under the checked
     positive integer weights ``wi`` in label order, in (d, key) heap order,
-    expanding at most ``node_budget`` states: its map from key to best
-    distance, returned when ``target`` is popped or, without one, once every
-    tree is settled. With positive weights every tree closer than the target
-    was settled first, so the map is exact there and an upper bound on the
-    distance elsewhere."""
+    expanding at most ``node_budget`` states, ``spent`` of them already
+    charged: its map from key to best distance, returned when ``target`` is
+    popped or, without one, once every tree is settled. With positive
+    weights every tree closer than the target was settled first, so the map
+    is exact there and an upper bound on the distance elsewhere.
+
+    With a ``bound`` towards the target it is A* on unit weights (``wi`` is
+    not read): the heap orders trees by f = S d + H, deeper first on ties,
+    then by key. H is consistent, so each tree popped is settled. With
+    ``close`` the search goes on past the target, unbudgeted, through every
+    tree with f at most the target's S d(t1, t2): every tree of a shortest
+    path has such an f, so the map is exact on all of them."""
     goal = None if target is None else target.canonical_key()
     start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes]] = [(0, start_key)]
+    f0 = 0 if bound is None else bound.h(start_key)
+    heap: list[tuple[int, int, bytes]] = [(f0, 0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
-    expanded = 0
+    expanded, limit = spent, None
     while heap:
-        d, key = heapq.heappop(heap)
-        if d > best[key]:
+        f, neg_d, key = heapq.heappop(heap)
+        d = best[key]
+        if -neg_d > d:
             continue  # a stale entry of a tree already expanded
-        if key == goal:
+        if limit is None:
+            if key == goal:
+                if not close:
+                    return best
+                limit = f
+                continue
+            expanded += 1
+            if expanded > node_budget:
+                raise ResourceLimit(f"node budget {node_budget} exceeded")
+        elif f > limit:
             return best
-        expanded += 1
-        if expanded > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
-        for u, v, nk in swap_neighbors(g.adj, key):
-            nd = d + wi[u] * wi[v]
-            if nk not in best or nd < best[nk]:
-                best[nk] = nd
-                heapq.heappush(heap, (nd, nk))
-    if goal is not None:
+        if bound is None:
+            for u, v, nk in swap_neighbors(g.adj, key):
+                nd = d + wi[u] * wi[v]
+                if nk not in best or nd < best[nk]:
+                    best[nk] = nd
+                    heapq.heappush(heap, (nd, -nd, nk))
+        else:
+            nd, nf, delta = d + 1, f + bound.size, bound.expand(key)
+            for u, v, nk in swap_neighbors(g.adj, key):
+                if nk not in best or nd < best[nk]:
+                    best[nk] = nd
+                    heapq.heappush(heap, (nf + delta(u, v), -nd, nk))
+    if limit is None and goal is not None:
         raise AssertionError("flip graph is connected; target must be reached")
     return best
 

@@ -225,31 +225,63 @@ class GraphicRank(RankOracle):
         return self._memo[key]
 
 
+def _skeleton_excess(oracle):
+    """Bases or vertices of the base polytope of ``oracle`` (a TableRank
+    oracle is checked first), its number of skeleton edges, and over all
+    pairs the most that the skeleton's BFS distance exceeds the matroid
+    distance |B1 - B2|, the number of coordinates with x_i > y_i."""
+    points, skeleton = _greedy_skeleton(oracle)
+    bases = sorted(set(points.values()))
+    ids = {b: i for i, b in enumerate(bases)}
+    adj = [[] for _ in bases]
+    for pair in skeleton:
+        a, b = (ids[p] for p in pair)
+        adj[a].append(b)
+        adj[b].append(a)
+    excess = max(
+        dist[j] - sum(x > y for x, y in zip(b1, b2))
+        for i, b1 in enumerate(bases)
+        for dist in [bfs_distances(adj, i)]
+        for j, b2 in enumerate(bases)
+    )
+    return bases, len(skeleton), excess
+
+
 def test_greedy_skeleton_of_a_graphic_matroid_is_the_base_exchange_graph():
     # The matroid side of the contrast: on the base polytope of a matroid,
-    # the flip distance of two bases is |B1 \ B2|.
-    checked = 0
+    # the flip distance of two bases is |B1 - B2| (Maurer 1973). The rank
+    # table goes through TableRank and check_axioms, so the skeleton is
+    # built from a checked oracle alone.
+    sizes = {}
     for n in range(2, 6):
         for g in connected_graphs_up_to_iso(n):
             if g.m > 6:
                 continue
-            points, skeleton = _greedy_skeleton(GraphicRank(g))
-            bases = sorted(set(points.values()))
+            graphic = GraphicRank(g)
+            table = TableRank(graphic.ground, {
+                frozenset(f): graphic.rank(f)
+                for r in range(g.m + 1) for f in combinations(graphic.ground, r)
+            })
+            assert check_axioms(table).ok
+            bases, edges, excess = _skeleton_excess(table)
             forests = (Graph(g.labels, f) for f in combinations(g.edges, n - 1))
             assert len(bases) == sum(h.is_connected() for h in forests)
             assert all(set(b) <= {0, 1} and sum(b) == n - 1 for b in bases)
-            ids = {b: i for i, b in enumerate(bases)}
-            adj = [[] for _ in bases]
-            for pair in skeleton:
-                a, b = (ids[p] for p in pair)
-                adj[a].append(b)
-                adj[b].append(a)
-            for i, b1 in enumerate(bases):
-                dist = bfs_distances(adj, i)
-                for j, b2 in enumerate(bases):
-                    assert dist[j] == sum(x > y for x, y in zip(b1, b2))
-                    checked += 1
-    assert checked > 500
+            assert excess == 0
+            sizes.setdefault((n, g.m), []).append((len(bases), edges))
+    assert sum(map(len, sizes.values())) == 22
+    assert sizes[4, 6] == [(16, 54)]  # K4
+    assert sorted(sizes[5, 5]) == [(3, 3), (3, 3), (3, 3), (4, 6), (5, 10)]  # C5 last
+    # (8, 18) twice: K4 minus an edge, plus a pendant edge at either kind of vertex
+    assert sorted(sizes[5, 6]) == [(8, 18), (8, 18), (9, 18), (11, 31), (12, 36)]
+
+
+def test_the_matroid_distance_fails_on_graph_associahedra():
+    # The polymatroid side: on the G-associahedron the skeleton distance
+    # exceeds the number of coordinates with x_i > y_i.
+    graphs = {"P5": path_graph(5), "S5": star_graph(5), "C5": cycle_graph(5)}
+    excess = {name: _skeleton_excess(GraphAssocRank(g))[2] for name, g in graphs.items()}
+    assert excess == {"P5": 4, "S5": 5, "C5": 5}
 
 
 @settings(max_examples=25, deadline=None)
