@@ -195,10 +195,11 @@ class _TwinBound:
             for v in members:
                 self.cls[v] = c
         reps = [members[0] for members in classes]
-        self.qadj = [sum(1 << j for j, r in enumerate(reps) if g.adj[a] >> r & 1) for a in reps]
         q = Graph(map(str, range(len(reps))), [
-            (str(a), str(b)) for a, nbrs in enumerate(self.qadj) for b in iter_bits(nbrs) if a < b
+            (str(a), str(b)) for a, r in enumerate(reps) for b in range(a + 1, len(reps))
+            if g.adj[r] >> reps[b] & 1
         ])
+        self.qadj = q.adj
         self.masks = [sum(1 << v for v in phi) for phi in product(*classes)]
         self.size = len(self.masks)
         self.holding = [0] * g.n  # bit i of holding[v]: selection i holds v
@@ -287,8 +288,7 @@ def distance(
     bound = _unit_bound(g, t1, t2, node_budget)
     if bound is None:
         return _bidirectional_bfs(g, t1, t2, node_budget)[0]
-    dist = _uniform_cost(g, None, t1, t2, node_budget, bound, spent=bound.spent)
-    return dist[t2.canonical_key()]
+    return _astar(g, t1, t2, bound, node_budget)[t2.canonical_key()]
 
 
 def shortest_path(
@@ -301,8 +301,8 @@ def shortest_path(
     """
     bound = _unit_bound(g, t1, t2, node_budget)
     if bound is not None:
-        dist1 = _uniform_cost(g, None, t1, t2, node_budget, bound, close=True, spent=bound.spent)
-        return _walk_back(g, dist1, t1, t2, lambda u, v: 1)
+        return _walk_back(g, _astar(g, t1, t2, bound, node_budget, close=True), t1, t2,
+                          lambda u, v: 1)
     d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, node_budget)
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
@@ -320,6 +320,50 @@ def shortest_path(
                     nxt.append(nk)
         layer = nxt
     return _walk_back(g, dist1, t1, t2, lambda u, v: 1)
+
+
+def _astar(g: Graph, t1: ElimTree, t2: ElimTree, bound: _TwinBound, node_budget: int,
+           close: bool = False) -> dict[bytes, int]:
+    """A* from t1 to t2, trees of ``g``, under ``bound`` towards t2: heap
+    entries (f, -d, key) with f = S d + H, so ties go to the deeper tree,
+    then to the smaller key. H is consistent, so each tree popped is
+    settled. Returns the map from key to best distance once t2 is popped.
+
+    With ``close`` the search goes on past t2 through every tree with f at
+    most S d(t1, t2), and pushes no tree above that: every tree of a
+    shortest path has such an f, so the map is then exact on all of them.
+    Every expansion counts against ``node_budget``, closing ones too, and
+    so do the ``bound.spent`` states of the bound's tables."""
+    goal, start_key = t2.canonical_key(), t1.canonical_key()
+    heap: list[tuple[int, int, bytes]] = [(bound.h(start_key), 0, start_key)]
+    best: dict[bytes, int] = {start_key: 0}
+    expanded, limit, size = bound.spent, None, bound.size
+    while heap:
+        f, neg_d, key = heapq.heappop(heap)
+        d = best[key]
+        if -neg_d > d:
+            continue  # a stale entry of a tree already expanded
+        if limit is None:
+            if key == goal:
+                if not close:
+                    return best
+                limit = f
+                continue
+        elif f > limit:
+            return best
+        expanded += 1
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        nd, nf, delta = d + 1, f + size, bound.expand(key)
+        for u, v, nk in swap_neighbors(g.adj, key):
+            if nk not in best or nd < best[nk]:
+                f_nk = nf + delta(u, v)
+                if limit is None or f_nk <= limit:
+                    best[nk] = nd
+                    heapq.heappush(heap, (f_nk, -nd, nk))
+    if limit is None:
+        raise AssertionError("flip graph is connected; target must be reached")
+    return best
 
 
 def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequence:
@@ -345,58 +389,35 @@ def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree)
     return check_weights(g, w)
 
 
-def _uniform_cost(g: Graph, wi: Sequence[int] | None, t1: ElimTree, target: ElimTree | None = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET, bound: _TwinBound | None = None,
-                  close: bool = False, spent: int = 0) -> dict[bytes, int]:
+def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
+                  node_budget: int = DEFAULT_NODE_BUDGET, spent: int = 0) -> dict[bytes, int]:
     """Uniform-cost search from t1, a tree of ``g``, under the checked
     positive integer weights ``wi`` in label order, in (d, key) heap order,
     expanding at most ``node_budget`` states, ``spent`` of them already
     charged: its map from key to best distance, returned when ``target`` is
     popped or, without one, once every tree is settled. With positive
     weights every tree closer than the target was settled first, so the map
-    is exact there and an upper bound on the distance elsewhere.
-
-    With a ``bound`` towards the target it is A* on unit weights (``wi`` is
-    not read): the heap orders trees by f = S d + H, deeper first on ties,
-    then by key. H is consistent, so each tree popped is settled. With
-    ``close`` the search goes on past the target, unbudgeted, through every
-    tree with f at most the target's S d(t1, t2): every tree of a shortest
-    path has such an f, so the map is exact on all of them."""
+    is exact there and an upper bound on the distance elsewhere."""
     goal = None if target is None else target.canonical_key()
     start_key = t1.canonical_key()
-    f0 = 0 if bound is None else bound.h(start_key)
-    heap: list[tuple[int, int, bytes]] = [(f0, 0, start_key)]
+    heap: list[tuple[int, bytes]] = [(0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
-    expanded, limit = spent, None
+    expanded = spent
     while heap:
-        f, neg_d, key = heapq.heappop(heap)
-        d = best[key]
-        if -neg_d > d:
+        d, key = heapq.heappop(heap)
+        if d > best[key]:
             continue  # a stale entry of a tree already expanded
-        if limit is None:
-            if key == goal:
-                if not close:
-                    return best
-                limit = f
-                continue
-            expanded += 1
-            if expanded > node_budget:
-                raise ResourceLimit(f"node budget {node_budget} exceeded")
-        elif f > limit:
+        if key == goal:
             return best
-        if bound is None:
-            for u, v, nk in swap_neighbors(g.adj, key):
-                nd = d + wi[u] * wi[v]
-                if nk not in best or nd < best[nk]:
-                    best[nk] = nd
-                    heapq.heappush(heap, (nd, -nd, nk))
-        else:
-            nd, nf, delta = d + 1, f + bound.size, bound.expand(key)
-            for u, v, nk in swap_neighbors(g.adj, key):
-                if nk not in best or nd < best[nk]:
-                    best[nk] = nd
-                    heapq.heappush(heap, (nf + delta(u, v), -nd, nk))
-    if limit is None and goal is not None:
+        expanded += 1
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        for u, v, nk in swap_neighbors(g.adj, key):
+            nd = d + wi[u] * wi[v]
+            if nk not in best or nd < best[nk]:
+                best[nk] = nd
+                heapq.heappush(heap, (nd, nk))
+    if goal is not None:
         raise AssertionError("flip graph is connected; target must be reached")
     return best
 

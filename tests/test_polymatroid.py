@@ -226,10 +226,10 @@ class GraphicRank(RankOracle):
 
 
 def _skeleton_excess(oracle):
-    """Bases or vertices of the base polytope of ``oracle`` (a TableRank
-    oracle is checked first), its number of skeleton edges, and over all
-    pairs the most that the skeleton's BFS distance exceeds the matroid
-    distance |B1 - B2|, the number of coordinates with x_i > y_i."""
+    """Bases or vertices of the base polytope of ``oracle``, its number of
+    skeleton edges, and over all pairs the least and the most that the
+    skeleton's BFS distance exceeds the matroid distance |B1 - B2|, the
+    number of coordinates with x_i > y_i."""
     points, skeleton = _greedy_skeleton(oracle)
     bases = sorted(set(points.values()))
     ids = {b: i for i, b in enumerate(bases)}
@@ -238,13 +238,13 @@ def _skeleton_excess(oracle):
         a, b = (ids[p] for p in pair)
         adj[a].append(b)
         adj[b].append(a)
-    excess = max(
+    excess = [
         dist[j] - sum(x > y for x, y in zip(b1, b2))
         for i, b1 in enumerate(bases)
         for dist in [bfs_distances(adj, i)]
         for j, b2 in enumerate(bases)
-    )
-    return bases, len(skeleton), excess
+    ]
+    return bases, len(skeleton), (min(excess), max(excess))
 
 
 def test_greedy_skeleton_of_a_graphic_matroid_is_the_base_exchange_graph():
@@ -267,7 +267,7 @@ def test_greedy_skeleton_of_a_graphic_matroid_is_the_base_exchange_graph():
             forests = (Graph(g.labels, f) for f in combinations(g.edges, n - 1))
             assert len(bases) == sum(h.is_connected() for h in forests)
             assert all(set(b) <= {0, 1} and sum(b) == n - 1 for b in bases)
-            assert excess == 0
+            assert excess == (0, 0)  # dist[j] == |B1 - B2| on every pair
             sizes.setdefault((n, g.m), []).append((len(bases), edges))
     assert sum(map(len, sizes.values())) == 22
     assert sizes[4, 6] == [(16, 54)]  # K4
@@ -281,7 +281,7 @@ def test_the_matroid_distance_fails_on_graph_associahedra():
     # exceeds the number of coordinates with x_i > y_i.
     graphs = {"P5": path_graph(5), "S5": star_graph(5), "C5": cycle_graph(5)}
     excess = {name: _skeleton_excess(GraphAssocRank(g))[2] for name, g in graphs.items()}
-    assert excess == {"P5": 4, "S5": 5, "C5": 5}
+    assert excess == {"P5": (0, 4), "S5": (0, 5), "C5": (0, 5)}
 
 
 @settings(max_examples=25, deadline=None)

@@ -182,22 +182,45 @@ def test_reduce_workload_pairs_expand_at_most_d_plus_2(monkeypatch):
     assert counts == [14, 16, 18, 20]
 
 
-def test_bound_path_costs_what_its_distance_costs():
-    # tables and A* pops before the target are budgeted; the closing is not
+def _least_budget(query, g, t1, t2):
+    """The least node budget under which the query succeeds, and the
+    message it fails with one below."""
+    lo, hi = 1, 10**6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            query(g, t1, t2, node_budget=mid)
+            hi = mid
+        except ResourceLimit:
+            lo = mid + 1
+    with pytest.raises(ResourceLimit, match=f"^node budget {lo - 1} exceeded$"):
+        query(g, t1, t2, node_budget=lo - 1)
+    return lo
+
+
+def test_bound_budgets_the_tables_the_search_and_the_closing():
+    # the path needs more than its distance, for the closing, but far less
+    # than the BFS route, which needs 5,050 for both
     g, t1, t2, d = _reduce_pair(2)
     bound = flipgraph._unit_bound(g, t1, t2, 10**6)
     assert bound.spent == 14  # the one table: every tree of the quotient P4
-    least = 0
-    for least in range(1, 100):
-        try:
-            distance(g, t1, t2, node_budget=least)
-            break
-        except ResourceLimit as exc:
-            assert str(exc) == f"node budget {least} exceeded"
-    assert least == 14 + 18
-    with pytest.raises(ResourceLimit, match=f"node budget {least - 1} exceeded"):
-        shortest_path(g, t1, t2, node_budget=least - 1)
-    assert len(shortest_path(g, t1, t2, node_budget=least)) == d
+    assert _least_budget(distance, g, t1, t2) == 14 + 18
+    assert _least_budget(shortest_path, g, t1, t2) == 306
+    assert len(shortest_path(g, t1, t2, node_budget=306)) == d
+
+
+def test_closing_stops_at_the_budget():
+    # On K9 against its reverse every one of the 9! trees lies on a geodesic
+    # and the bound is exact, so the closing would settle the whole flip
+    # graph; the budget stops it.
+    k9 = complete_graph(9)
+    t1 = ElimTree.from_ordering(k9, k9.labels)
+    t2 = ElimTree.from_ordering(k9, k9.labels[::-1])
+    assert distance(k9, t1, t2, node_budget=100) == 36
+    start = time.monotonic()
+    with pytest.raises(ResourceLimit, match="node budget 100 exceeded"):
+        shortest_path(k9, t1, t2, node_budget=100)
+    assert time.monotonic() - start < 1.0
 
 
 def _never_built(monkeypatch):
