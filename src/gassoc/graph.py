@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,10 +43,12 @@ class Graph:
 
     No self-loops, no parallel edges; every edge endpoint must be a
     declared vertex. The edge list keeps its construction order so that
-    serialization round-trips bit-exactly.
+    serialization round-trips bit-exactly. A graph built with cliques
+    keeps them as vertex tuples: their edges are listed only when
+    ``edges`` is first read, after the other edges.
     """
 
-    __slots__ = ("labels", "edges", "_index", "adj", "full_mask")
+    __slots__ = ("labels", "_edges", "_cliques", "m", "_index", "adj", "full_mask")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         self.labels: tuple[str, ...] = tuple(vertices)
@@ -69,7 +71,9 @@ class Graph:
             self.adj[ia] |= 1 << ib
             self.adj[ib] |= 1 << ia
             edge_list.append((a, b))
-        self.edges: tuple[tuple[str, str], ...] = tuple(edge_list)
+        self._edges: tuple[tuple[str, str], ...] = tuple(edge_list)
+        self._cliques: tuple[tuple[str, ...], ...] = ()
+        self.m = len(edge_list)
         self.full_mask = (1 << n) - 1
 
     @classmethod
@@ -77,9 +81,8 @@ class Graph:
         """``Graph(vertices, edges)`` followed by the edges ``combinations(clique,
         2)`` of each clique. Each clique vertex gets the clique's mask in one
         step, after a check that none of those edges would be a self-loop or
-        a parallel edge."""
+        a parallel edge; the clique itself is kept, not its edges."""
         g = cls(vertices, edges)
-        edge_list = list(g.edges)
         for clique in cliques:
             if len(set(clique)) != len(clique):
                 raise InvalidArgument("self-loop: a clique lists a vertex twice")
@@ -88,17 +91,20 @@ class Graph:
                 if g.adj[i] & cmask:
                     raise InvalidArgument(f"parallel edge at {g.labels[i]!r} inside a clique")
                 g.adj[i] |= cmask ^ 1 << i
-            edge_list.extend(combinations(clique, 2))
-        g.edges = tuple(edge_list)
+            g._cliques += (tuple(clique),)
+            g.m += len(clique) * (len(clique) - 1) // 2
         return g
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        if self._cliques:
+            self._edges += tuple(chain.from_iterable(combinations(c, 2) for c in self._cliques))
+            self._cliques = ()
+        return self._edges
 
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def index(self, label: str) -> int:
         try:
@@ -417,4 +423,10 @@ def check_weights(g: Graph, w: Mapping[str, int]) -> list[int]:
 
 
 def format_graph(g: Graph) -> str:
-    return "\n".join([f"{g.n} {g.m}", *g.labels, *map(" ".join, g.edges)]) + "\n"
+    """The graph text format; a pending clique is written as one row per
+    vertex, the same text as its listed edges, without listing them."""
+    lines = [f"{g.n} {g.m}", *g.labels, *map(" ".join, g._edges)]
+    for c in g._cliques:
+        lines.extend(c[i] + " " + ("\n" + c[i] + " ").join(c[i + 1 :])
+                     for i in range(len(c) - 1))
+    return "\n".join(lines) + "\n"

@@ -3,10 +3,12 @@
 import hashlib
 import os
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
+from gassoc import cli
 from gassoc.elimtree import ElimTree, SwapMove, project
 from gassoc.errors import InvalidArgument, ParseError, ResourceLimit
 from gassoc.flipgraph import (
@@ -445,6 +447,11 @@ WEIGHTED_GRAPH_SHA256 = {
     ("cycle", 2): "ecd1e9bc16b4e9865f2a392d5991e01f93bd833f93914922bb25ef4e91c35fa8",
     ("cycle", 3): "2703c63e8b0477eda10ab09442dc1de49fc1f3c5045fb5e28d5e574def0554a0",
     ("cycle", 4): "c0bd867b67febf09c4727fe552d8f135e82c4de3746749b2cdde49b373b157fa",
+    ("cycle", 6): "a59bc63cc14159668e4ff6d2e825b467585d113760dfe2e59768270435816e9e",
+    ("cycle", 7): "4656f9e91103ff8605504400432fb2c3eb7bf3a11f65f36f2459504131c45b44",
+    ("path", 6): "9ac1db3ee1edbff9702c63553adfd9c8b1c5690b6f9b8b2cf0ccf5fae730d856",
+    ("path", 7): "18b29d4c0dfdc08ad79db5cc2f1e60bd43d213e293a373cd4d78b97669cd1828",
+    ("path", 8): "055b4133b457682ec18b5db595a3a1cdc734b85f8d5e45fb7dd5653a95216b01",
 }
 
 
@@ -478,6 +485,54 @@ def test_clique_construction_keeps_the_edge_checks():
         Graph._with_cliques("abcd", [], ["abca"])
     with pytest.raises(InvalidArgument, match="unknown vertex"):
         Graph._with_cliques("abcd", [], ["abe"])
+
+
+def _eager_format(g):
+    # a writer that lists every edge, then formats each one
+    return "\n".join([f"{g.n} {len(g.edges)}", *g.labels, *map(" ".join, g.edges)]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kept_cliques_write_and_list_as_their_edges(seed):
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(rng.randint(0, 14))]
+    rng.shuffle(labels)
+    free, cliques = list(labels), []
+    while free and rng.random() < 0.7:
+        size = rng.choice([0, 1, 2, rng.randint(0, len(free))])
+        cliques.append([free.pop() for _ in range(min(size, len(free)))])
+    covered = {frozenset(e) for c in cliques for e in combinations(c, 2)}
+    pairs = [e for e in combinations(labels, 2) if frozenset(e) not in covered]
+    base = [e[::-1] if rng.random() < 0.5 else e
+            for e in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    g = Graph._with_cliques(labels, base, cliques)
+    before = format_graph(g)
+    assert g.m == len(g.edges)
+    assert before == format_graph(g) == _eager_format(g)
+    assert g.edges == (*base, *(e for c in cliques for e in combinations(c, 2)))
+    assert g.adj == Graph(g.labels, g.edges).adj
+
+
+def test_reduce_cut_lists_no_clique_edges(tmp_path):
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n")
+    argv = ["reduce", "cut", str(p4), "s", "t", str(tmp_path / "out"),
+            "--N", "8", "--sufficiency", "s,v1"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # 37 MB with the 261,632 clique edges listed
+
+
+def test_bundle_steps_keep_the_cliques_declared(tmp_path):
+    inst = build_weighted_instance(path_source(), "s", "t", N=8)
+    sufficiency_sequence(inst, ["s", "v1"])
+    write_bundle(tmp_path / "b", inst.graph, inst.t_ini, inst.t_tar,
+                 weights=inst.weights, meta=instance_meta(inst))
+    assert len(inst.graph._cliques) == 2
 
 
 def test_blowup_instance_bytes_are_pinned():
