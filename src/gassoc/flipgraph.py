@@ -9,7 +9,6 @@ reproducible. All weighted totals are Python integers
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -509,18 +508,24 @@ def explicit_flip_graph(
     return trees, [sorted(rank[j] for j in rows[i]) for i in order]
 
 
-def bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    """Hop distances from ``source`` in an explicit graph (-1 if unreached)."""
+def bfs_distances(
+    adj: list[list[int]], source: int, targets: Sequence[int] | None = None
+) -> list[int]:
+    """Hop distances from ``source`` in an explicit graph (-1 if unreached),
+    one level at a time. Given ``targets``, the search stops after the level
+    that reaches the last of them; farther vertices stay at -1."""
     dist = [-1] * len(adj)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        for u in adj[v]:
-            if dist[u] < 0:
-                dist[u] = dv
-                queue.append(u)
+    level, d = [source], 0
+    while level and (targets is None or any(dist[t] < 0 for t in targets)):
+        d += 1
+        nxt = []
+        for v in level:
+            for u in adj[v]:
+                if dist[u] < 0:
+                    dist[u] = d
+                    nxt.append(u)
+        level = nxt
     return dist
 
 

@@ -9,6 +9,7 @@ clique-heavy graphs produced by the reduction builders.
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque
 from itertools import chain, combinations
 from pathlib import Path
@@ -352,6 +353,14 @@ def _content_lines(text: str) -> Iterator[str]:
             yield line
 
 
+def _decimal(field: str) -> int:
+    """An ASCII decimal integer field; ValueError for anything else, such
+    as ``+1``, ``1_0`` or digits of another script."""
+    if not re.fullmatch(r"-?[0-9]+", field):
+        raise ValueError(field)
+    return int(field)
+
+
 def _two_fields(line: str, kind: str) -> tuple[str, str]:
     """The two whitespace-separated fields of a ``kind`` line."""
     parts = line.split()
@@ -372,7 +381,7 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2:
         raise ParseError(f"expected 'n m' header, got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _decimal(head[0]), _decimal(head[1])
     except ValueError:
         raise ParseError(f"bad header {lines[0]!r}") from None
     if n < 0 or m < 0:
@@ -397,7 +406,7 @@ def parse_weights(g: Graph, text: str) -> dict[str, int]:
         if lab in weights:
             raise ParseError(f"duplicate weight line for {lab!r}")
         try:
-            weights[lab] = int(val)
+            weights[lab] = _decimal(val)
         except ValueError:
             raise ParseError(f"bad weight value {val!r}") from None
     for lab in g.labels:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-from .elimtree import ElimTree, is_valid
+from .elimtree import ElimTree, _ordering_parent, _pack, is_valid
 from .errors import InvalidArgument, ResourceLimit
 from .flipgraph import explicit_flip_graph
 from .graph import Graph, iter_bits
@@ -237,7 +237,7 @@ def verify_realization(g: Graph) -> RealizationReport:
     coords = [tuple(devadoss_coordinates(g, t).values()) for t in trees]  # label order
     greedy, skeleton = _greedy_skeleton(GraphAssocRank(g))
     compat = all(
-        point == coords[ids[ElimTree.from_ordering(g, sigma).canonical_key()]]
+        point == coords[ids[_pack(_ordering_parent(g.adj, list(map(g.index, sigma))))]]
         for sigma, point in greedy.items()
     )
     point_set = set(coords)

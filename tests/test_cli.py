@@ -442,6 +442,9 @@ def test_threads_flag_is_accepted(files, capsys):
         # negative counts whose line count adds up
         (["diameter", "g"], {"g": "3 -1\na\nb\n"}, 2),
         (["enumerate", "g"], {"g": "1 -1\n"}, 2),
+        # weights that int() reads as 10 and 1, but are not ASCII decimal
+        (["dist", "g", "a", "a", "--weights", "w"],
+         {"g": P3, "a": CHAIN_123, "w": "1 1_0\n2 1\n3 +1\n"}, 2),
     ],
 )
 def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):

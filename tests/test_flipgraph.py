@@ -525,6 +525,23 @@ def _reference_eccentricities(adj, sources):
     return [max(bfs_distances(adj, s)) for s in sources]
 
 
+def test_bfs_distances_with_targets_keeps_every_target_exact():
+    # the search stops after the level of its last target, from any source;
+    # each vertex it settles has its full-search distance
+    for n in range(1, 6):
+        for g in connected_graphs_up_to_iso(n):
+            adj = explicit_flip_graph(g)[1]
+            rng = random.Random(len(adj))
+            for s in range(len(adj)):
+                full = bfs_distances(adj, s)
+                for targets in ([], [s], list(range(s + 1, len(adj))),
+                                rng.sample(range(len(adj)), min(3, len(adj)))):
+                    dist = bfs_distances(adj, s, targets)
+                    assert [dist[t] for t in targets] == [full[t] for t in targets]
+                    assert all(d in (-1, f) for d, f in zip(dist, full))
+                    assert max(dist) == max((full[t] for t in targets), default=0)
+
+
 def test_diameter_pruned_equals_allpairs():
     # exact_allpairs no longer selects a second mode; both calls must equal
     # the largest eccentricity found by plain BFS from every vertex

@@ -120,6 +120,13 @@ def test_parse_rejects_negative_counts(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("head", ["\u0663 2", "3 +2", "3 0_2", "\uff13 2"])
+def test_parse_rejects_a_header_that_is_not_ascii_decimal(head):
+    # int() would read each of these as 3 vertices and 2 edges
+    with pytest.raises(ParseError, match="bad header"):
+        parse_graph(head + "\na\nb\nc\na b\nb c\n")
+
+
 P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 
@@ -134,6 +141,11 @@ def test_parse_weights_skips_comments_blank_lines_and_other_labels():
         ("a 1\nb 2 7\nc 3\n", "bad weight line 'b 2 7'"),
         ("a 1\nb\nc 3\n", "bad weight line 'b'"),
         ("a 1\nb two\nc 3\n", "bad weight value 'two'"),
+        # integer fields are ASCII decimal: no underscores, signs or other digits
+        ("a 1_0\nb 2\nc 3\n", "bad weight value '1_0'"),
+        ("a +1\nb 2\nc 3\n", "bad weight value '\\+1'"),
+        ("a 1\nb \u0663\nc 3\n", "bad weight value '\u0663'"),
+        ("a 1\nb 2\nc \uff13\n", "bad weight value '\uff13'"),
         ("a 1\nc 3\n", "missing weight for 'b'"),
         ("a 1\nb 2\na 5\nc 3\n", "duplicate weight line for 'a'"),
     ],

@@ -13,8 +13,8 @@ import pytest
 
 from gassoc import polymatroid, verify
 from gassoc.cli import main
-from gassoc.elimtree import ElimTree, _Projector, _pack, _unpack, swap_neighbors
-from gassoc.flipgraph import ReconfigSequence, enumerate_all, shortest_path
+from gassoc.elimtree import ElimTree, _Projector, _pack, _shape, _unpack, swap_neighbors
+from gassoc.flipgraph import ReconfigSequence, bfs_distances, enumerate_all, shortest_path
 from gassoc.graph import Graph
 from gassoc.polymatroid import GraphAssocRank
 from gassoc.reductions import (
@@ -101,9 +101,10 @@ def assert_reports_failures(report):
     assert all(FAILURE.fullmatch(f) for f in report.failures), report.failures[:3]
 
 
-def test_projection_suite_projects_each_tree_once(monkeypatch):
-    # one projection per (tree, U), plus the one each projector's
-    # connectivity check makes: 1,629 calls for n <= 4
+def test_projection_suite_projects_each_restricted_order_once(monkeypatch):
+    # T|_U depends only on T's root-first order restricted to U: one
+    # projection per distinct restricted order of each (G, U), plus the one
+    # each projector's connectivity check makes: 427 calls for n <= 4
     calls = []
 
     class Counting(_Projector):
@@ -114,16 +115,15 @@ def test_projection_suite_projects_each_tree_once(monkeypatch):
     monkeypatch.setattr(verify, "_Projector", Counting)
     report = verify_projection_suite(max_n=4)
     assert report.ok and report.checked == 4530
-    trees_times_u = projectors = 0
+    restricted = projectors = 0
     for n in range(2, 5):
         for g in connected_graphs_up_to_iso(n):
-            u_count = sum(
-                g.component_of((mask & -mask).bit_length() - 1, mask) == mask
-                for mask in range(1, g.full_mask + 1)
-            )
-            trees_times_u += len(enumerate_all(g)) * u_count
-            projectors += u_count
-    assert len(calls) == trees_times_u + projectors == 1629
+            orders = [_shape(t.parent)[1] for t in enumerate_all(g)]
+            for mask in range(1, g.full_mask + 1):
+                if g.component_of((mask & -mask).bit_length() - 1, mask) == mask:
+                    restricted += len({tuple(v for v in o if mask >> v & 1) for o in orders})
+                    projectors += 1
+    assert len(calls) == restricted + projectors == 427
 
 
 def test_projection_suite_catches_a_wrong_projection(monkeypatch):
@@ -161,9 +161,32 @@ def test_projection_suite_catches_a_wrong_swap_rule(monkeypatch):
 
 
 def test_blowup_suite_small():
-    report = verify_blowup_suite(max_total=5)
-    assert report.ok
-    assert report.checked > 50
+    # three weight vectors per graph, each checking every ordered tree pair:
+    # the count follows the trees of each graph, not the weights' bound,
+    # which only caps n (n < max_total, and n <= 4)
+    for max_total, checked in [(5, 6903), (4, 195)]:
+        report = verify_blowup_suite(max_total=max_total)
+        assert report.ok
+        assert report.checked == checked
+
+
+def test_blowup_suite_runs_one_bfs_per_unordered_pair(monkeypatch):
+    # one BFS from each lifted tree but the last of its instance, towards the
+    # later ones only, stopped after the level of its last target
+    runs = []
+
+    def checked_bfs(adj, source, targets):
+        dist = bfs_distances(adj, source, targets)
+        full = bfs_distances(adj, source)
+        assert [dist[t] for t in targets] == [full[t] for t in targets]
+        runs.append((sum(d >= 0 for d in dist), sum(d >= 0 for d in full)))
+        return dist
+
+    monkeypatch.setattr(verify, "bfs_distances", checked_bfs)
+    assert verify_blowup_suite().ok
+    assert len(runs) == 354  # 381 lifted trees in 27 instances
+    assert sum(settled for settled, _ in runs) == 452014
+    assert sum(full for _, full in runs) == 616380
 
 
 @pytest.mark.parametrize("seed", [0, 1])
