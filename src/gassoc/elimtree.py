@@ -12,7 +12,6 @@ import heapq
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IllegalMove, InvalidArgument, ParseError
@@ -197,7 +196,8 @@ def _pack(parent: Sequence[int]) -> bytes:
 
 def _unpack(key: bytes, n: int) -> array:
     """The parent array of a canonical key of a tree on n vertices (or of
-    several such keys joined)."""
+    several such keys joined). Its ``tobytes()``, and that of a copy with
+    entries changed, is the key of the parent array it then holds."""
     return array(_typecode(n), key)
 
 
@@ -222,38 +222,23 @@ def _shape(parent: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]
     return children, order, sub
 
 
-def _swap_kernel(down: bool):
-    """The swap kernel, made once per variant so that no call pays for the
-    choice: every swap, or with ``down`` only the down-swaps, those with
-    parent index u below child index v (the flip-graph build's)."""
-
-    def swap_neighbors(adj: Sequence[int], key: bytes) -> Iterator[tuple[int, int, bytes]]:
-        """Each swap(u, v) of the elimination tree with this canonical key
-        (each down-swap, for ``_down_swaps``) as (u, v, the key after it),
-        in ``enumerate_swaps`` order. Per state, one ``_shape`` pass;
-        nothing is re-validated, since a swap of an elimination tree is one
-        by construction."""
-        parent = _unpack(key, len(adj))
-        children, _, sub = _shape(parent)
-        moves = enumerate(parent)
-        if down:  # one filter per state; the root's -1 passes it and is dropped below
-            moves = compress(moves, map(operator.lt, parent, range(len(parent))))
-        for v, u in moves:
-            if u >= 0:
-                nb = parent[:]
-                nb[v] = parent[u]
-                nb[u] = v
-                adj_u = adj[u]
-                for c in children[v]:
-                    if sub[c] & adj_u:
-                        nb[c] = u
-                yield u, v, nb.tobytes()
-
-    return swap_neighbors
-
-
-swap_neighbors = _swap_kernel(down=False)
-_down_swaps = _swap_kernel(down=True)
+def swap_neighbors(adj: Sequence[int], key: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """Each swap(u, v) of the elimination tree with this canonical key as
+    (u, v, the key after it), in ``enumerate_swaps`` order. Per state, one
+    ``_shape`` pass; nothing is re-validated, since a swap of an
+    elimination tree is one by construction."""
+    parent = _unpack(key, len(adj))
+    children, _, sub = _shape(parent)
+    for v, u in enumerate(parent):
+        if u >= 0:
+            nb = parent[:]
+            nb[v] = parent[u]
+            nb[u] = v
+            adj_u = adj[u]
+            for c in children[v]:
+                if sub[c] & adj_u:
+                    nb[c] = u
+            yield u, v, nb.tobytes()
 
 
 def _ordering_parent(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import (
-    ElimTree, SwapMove, _Replay, _down_swaps, _ordering_parent, _pack, _shape, _unpack,
+    ElimTree, SwapMove, _Replay, _ordering_parent, _pack, _shape, _unpack,
     is_valid, swap_neighbors
 )
 from .errors import InvalidArgument, ResourceLimit
@@ -455,10 +455,10 @@ def _flip_graph(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> tuple[list[bytes], 
     n - 1 neighbours of keys[i]. ``cap`` bounds the keys stored, the first
     one included.
 
-    One search from the start tree S = ``from_ordering(g, g.labels)`` that
-    expands only down-swaps: swap(u, v) with parent index u < child index v.
-    Each key found goes into both rows, so every edge is built exactly
-    once, from its upper end. Every tree is reached:
+    One depth-first search from the start tree S = ``from_ordering(g,
+    g.labels)`` that expands only down-swaps: swap(u, v) with parent index
+    u < child index v. Each key found goes into both rows, so every edge is
+    built exactly once, from its upper end. Every tree is reached:
 
     - A tree with no child of smaller index than its parent has index
       order as a linear extension, so it is S.
@@ -469,25 +469,56 @@ def _flip_graph(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> tuple[list[bytes], 
       walk is a chain of down-swaps from S.
 
     This is the orientation of the polymatroid base polytope's edges by a
-    generic linear functional, with S its one source.
+    generic linear functional, with S its one source. A pending tree
+    carries its parent array, children lists and subtree masks, derived
+    from its discoverer's by the swap rule: only u, v and u's old parent
+    change, and no list is edited in place, so the rest are shared. The
+    stack holds at most (n - 1) trees per level of depth.
     """
-    start = ElimTree.from_ordering(g, g.labels).canonical_key()
+    start = ElimTree.from_ordering(g, g.labels)
     if cap < 1:
         raise ResourceLimit(f"enumeration cap {cap} exceeded")
-    keys, ids, rows = [start], {start: 0}, [[]]
-    for key in keys:  # FIFO: the list grows while it is scanned
-        i = ids[key]  # the int object the other rows hold; enumerate would add one per tree
+    adj, key = g.adj, start.canonical_key()
+    keys, ids, rows = [key], {key: 0}, [[]]
+    stack = [(0, _unpack(key, g.n), list(start.children), start._masks)]
+    while stack:
+        i, parent, children, sub = stack.pop()
         row = rows[i]
-        for _, _, nk in _down_swaps(g.adj, key):
-            j = ids.get(nk)
-            if j is None:
-                if len(keys) >= cap:
-                    raise ResourceLimit(f"enumeration cap {cap} exceeded")
-                j = ids[nk] = len(keys)
-                keys.append(nk)
-                rows.append([])
-            rows[j].append(i)
-            row.append(j)
+        for u, kids in enumerate(children):
+            for v in kids:
+                if v < u:
+                    continue
+                top = parent[u]
+                nb = parent[:]
+                nb[v] = top
+                nb[u] = v
+                adj_u = adj[u]
+                for c in children[v]:
+                    if sub[c] & adj_u:
+                        nb[c] = u
+                nk = nb.tobytes()
+                j = ids.get(nk)
+                if j is None:
+                    if len(keys) >= cap:
+                        raise ResourceLimit(f"enumeration cap {cap} exceeded")
+                    j = ids[nk] = len(keys)
+                    keys.append(nk)
+                    rows.append([])
+                    # v takes u's subtree; u keeps it minus v's, plus the moved subtrees.
+                    moved = [c for c in children[v] if nb[c] == u]
+                    mask_u = sub[u] ^ sub[v]
+                    for c in moved:
+                        mask_u |= sub[c]
+                    nsub = sub[:]
+                    nsub[v], nsub[u] = sub[u], mask_u
+                    nkids = children[:]
+                    nkids[v] = [c for c in children[v] if nb[c] == v] + [u]
+                    nkids[u] = [c for c in kids if c != v] + moved
+                    if top >= 0:
+                        nkids[top] = [v if c == u else c for c in children[top]]
+                    stack.append((j, nb, nkids, nsub))
+                rows[j].append(i)
+                row.append(j)
     return keys, rows
 
 
@@ -592,8 +623,9 @@ def _tree_orbits(g: Graph, keys: Sequence[bytes]):
     """For trees of ``g`` given by their keys, a set closed under Aut(g), the
     smallest index in each one's orbit as a numpy array. An automorphism
     sigma maps the tree with parent array p to the one with parent
-    p'[sigma(i)] = sigma(p[i]); each mapped row is matched back to its index
-    by sorting both row sets, so the match is exact at any n."""
+    p'[sigma(i)] = sigma(p[i]), built in the keys' width, which holds every
+    index; each mapped row is matched back to its index by sorting both row
+    sets, so the match is exact at any n."""
     import numpy as np
 
     label = np.arange(len(keys))
@@ -603,7 +635,7 @@ def _tree_orbits(g: Graph, keys: Sequence[bytes]):
     perms = []
     for sigma in gens:
         image = np.empty_like(trees)
-        image[:, sigma] = np.array([*sigma, -1])[trees]  # the root's -1 stays
+        image[:, sigma] = np.array([*sigma, -1], dtype=trees.dtype)[trees]  # the root's -1 stays
         image_order = np.lexsort(image.T)
         if not np.array_equal(trees[order], image[image_order]):
             raise AssertionError("the trees are not closed under Aut(G)")

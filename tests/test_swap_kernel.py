@@ -10,6 +10,7 @@ against copies of their earlier tree-by-tree code, on ``oracle_project``.
 """
 
 import random
+import tracemalloc
 from array import array
 from functools import cache
 from itertools import permutations, product
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassoc import flipgraph
 from gassoc.elimtree import (
     ElimTree,
     SwapMove,
@@ -337,7 +337,9 @@ def relabelled(g, seed):
 
 def test_flip_graph_core_matches_oracle():
     # the unsorted core: keys in discovery order, rows of indices into them;
-    # the build orients edges by index order, so relabelled copies too
+    # the build orients edges by index order, so relabelled copies too. Every
+    # key past the first comes from a carried shape, so a wrong mask, child
+    # list or parent update in the swap rule shows up as a wrong key or row.
     graphs = [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
     graphs += [path_graph(8), cycle_graph(7), star_graph(6), complete_graph(6),
                random_connected_graph(7, 0.4, 1)]
@@ -347,7 +349,7 @@ def test_flip_graph_core_matches_oracle():
             _pack(t): sorted(_pack(nb) for nb in nbs)
             for t, nbs in oracle_flip_graph(g).items()
         }
-        keys, rows = _flip_graph(g)
+        keys, rows = _flip_graph(g, cap=len(found))  # a runaway build raises
         assert len(keys) == len(set(keys)) and set(keys) == set(found)
         assert len(rows) == len(keys)
         for key, row in zip(keys, rows):
@@ -355,7 +357,8 @@ def test_flip_graph_core_matches_oracle():
 
 
 def test_down_swaps_orient_the_flip_graph_from_the_start_tree():
-    # The lemma behind _flip_graph, on every connected class with n <= 6:
+    # The lemma behind _flip_graph, on every connected class with n <= 6,
+    # and the build against a BFS over all swaps of the stateless kernel:
     # the start tree is the only tree with no child of smaller index than
     # its parent, and along a down-swap(u, v), parent index u below child
     # index v, the Devadoss coordinates move along e_u - e_v with x_u
@@ -374,10 +377,12 @@ def test_down_swaps_orient_the_flip_graph_from_the_start_tree():
                     points[key] = x, sum((n - i) * xi for i, xi in enumerate(x))
                 return points[key]
 
-            seen, queue = {start}, [start]
+            seen, queue, found = {start}, [start], {}
             for key in queue:  # a BFS over all swaps, not the build under test
                 up = 0
-                for u, v, nk in swap_neighbors(g.adj, key):
+                nbs = list(swap_neighbors(g.adj, key))
+                found[key] = sorted(nk for _, _, nk in nbs)
+                for u, v, nk in nbs:
                     if nk not in seen:
                         seen.add(nk)
                         queue.append(nk)
@@ -391,6 +396,11 @@ def test_down_swaps_orient_the_flip_graph_from_the_start_tree():
                         assert nphi < phi
                     swaps += 1
                 assert (up == 0) == (key == start)
+            # the build, from carried shapes, finds the same trees and rows
+            keys, rows = _flip_graph(g, cap=len(found))
+            assert len(keys) == len(found) and set(keys) == seen
+            for key, row in zip(keys, rows):
+                assert sorted(keys[j] for j in row) == found[key]
     assert swaps == 242_308
 
 
@@ -400,22 +410,32 @@ def test_down_swaps_orient_the_flip_graph_from_the_start_tree():
      (lambda: star_graph(7), 5_871), (lambda: complete_graph(6), 1_800)],
     ids=["P9", "C8", "S7", "K6"],
 )
-def test_flip_graph_builds_each_edge_once(monkeypatch, builder, edges):
-    # N trees of degree n - 1 have N(n - 1)/2 edges: the kernel yields
-    # each one once inside the build
-    yielded = []
-
-    def counting(adj, key):
-        for swap in kernel(adj, key):
-            yielded.append(swap)
-            yield swap
-
-    kernel = flipgraph._down_swaps
-    monkeypatch.setattr(flipgraph, "_down_swaps", counting)
+def test_flip_graph_builds_each_edge_once(builder, edges):
+    # N trees of degree n - 1 have N(n - 1)/2 edges; each is built once,
+    # from its upper end, into both rows: no row holds an index twice, and
+    # j is in row i exactly when i is in row j
     g = builder()
-    keys, rows = _flip_graph(g)
-    assert len(yielded) == len(keys) * (g.n - 1) // 2 == edges
+    keys, rows = _flip_graph(g, cap=2 * edges // (g.n - 1))
+    assert len(keys) * (g.n - 1) // 2 == edges
     assert sum(map(len, rows)) == 2 * edges
+    assert all(len(row) == len(set(row)) == g.n - 1 for row in rows)
+    pairs = {(i, j) for i, row in enumerate(rows) for j in row}
+    assert all((j, i) in pairs for i, j in pairs)
+
+
+def test_flip_graph_peak_memory_stays_near_its_result():
+    # The depth-first build holds at most n - 1 carried shapes per level of
+    # depth besides its result and its key index; a store that kept shapes
+    # for a whole level of pending trees would pass 1.2 times the result.
+    g = path_graph(10)
+    tracemalloc.start()
+    try:
+        result = _flip_graph(g)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 16_796
+    assert peak <= 1.2 * size
 
 
 def tree_count(g):
@@ -441,7 +461,8 @@ def test_flip_graph_reaches_every_tree():
     graphs += [relabelled(g, seed) for seed, g in enumerate(
         [path_graph(9), cycle_graph(8), star_graph(7), complete_graph(6)])]
     for g in graphs:
-        assert len(_flip_graph(g)[0]) == tree_count(g), g.edges
+        count = tree_count(g)
+        assert len(_flip_graph(g, cap=count)[0]) == count, g.edges
     assert [tree_count(g) for g in graphs[-4:]] == [4862, 3432, 1957, 720]
 
 
