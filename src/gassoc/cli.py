@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification suite failure, 2 parse error,
-3 semantic error (invalid argument or illegal move), 4 resource limit.
+3 semantic error (invalid argument or illegal move), 4 resource limit,
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 Big integers appear in JSON output as decimal strings.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -232,6 +234,10 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # Send what is left to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import permutations
+from array import array
+from functools import lru_cache
+from itertools import compress, count, permutations
+from operator import add, le, lt
 from typing import Iterable, Mapping, Sequence
 
 from .elimtree import ElimTree, _ordering_parent, _pack, is_valid
 from .errors import InvalidArgument, ResourceLimit
 from .flipgraph import explicit_flip_graph
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 __all__ = [
     "RankOracle",
@@ -101,45 +104,59 @@ class AxiomReport:
         return not self.violations
 
 
+def _rank_list(oracle: RankOracle) -> list[int]:
+    """``oracle.rank`` of every subset of the ground set, asked once each and
+    listed by bitmask (bit i for ``ground[i]``). The label tuples of each half
+    of the ground set are built by doubling, so about 2^(n/2 + 1) are held."""
+    h = len(oracle.ground) // 2
+    low, high = [()], [()]
+    for half, labels in ((low, oracle.ground[:h]), (high, oracle.ground[h:])):
+        for lab in labels:
+            half += [s + (lab,) for s in half]
+    return [oracle.rank(lo + hi) for hi in high for lo in low]
+
+
+@lru_cache(maxsize=4)
+def _exchange_columns(n: int) -> tuple[list[array], list[array]]:
+    """The masks of the local checks on n elements, as columns in (X, i, j)
+    order over i < j outside X: (X, X+i) for monotonicity and
+    (X, X+i, X+j, X+i+j) for the exchange."""
+    pairs = [(m, i) for m in range(1 << n) for i in range(n) if not m >> i & 1]
+    quads = [(m, m | 1 << i, m | 1 << j, m | 1 << i | 1 << j)
+             for m, i in pairs for j in range(i + 1, n) if not m >> j & 1]
+    return ([array("H", [m for m, _ in pairs]), array("H", [m | 1 << i for m, i in pairs])],
+            [array("H", [q[k] for q in quads]) for k in range(4)])
+
+
 def check_axioms(oracle: RankOracle) -> AxiomReport:
     """Exhaustively test normalization, monotonicity, and submodularity.
 
     Monotonicity is checked through single-element extensions and
     submodularity through the local exchange
     f(X+u) + f(X+v) >= f(X+u+v) + f(X), which are equivalent to the
-    global forms for set functions.
+    global forms for set functions. The rank of each subset is asked once.
     """
-    ground = list(oracle.ground)
+    ground = oracle.ground
     n = len(ground)
     if n > 12:
         raise ResourceLimit(f"ground set too large: {n} > 12")
-    report = AxiomReport()
-    ranks: dict[int, int] = {}
-    for mask in range(1 << n):
-        ranks[mask] = oracle.rank(ground[i] for i in iter_bits(mask))
+    ranks = _rank_list(oracle)
+    get = ranks.__getitem__
+    (x, xi), (y, yi, yj, yij) = _exchange_columns(n)
+    report = AxiomReport(checked=1 + len(x) + len(y))
     if ranks[0] != 0:
         report.violations.append(f"P1: rank(empty) = {ranks[0]} != 0")
-    report.checked += 1
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            report.checked += 1
-            if ranks[mask | 1 << i] < ranks[mask]:
-                report.violations.append(
-                    f"P2: rank decreases when adding {ground[i]!r} to mask {mask:b}"
-                )
-            for j in range(i + 1, n):
-                if mask >> j & 1:
-                    continue
-                report.checked += 1
-                lhs = ranks[mask | 1 << i] + ranks[mask | 1 << j]
-                rhs = ranks[mask | 1 << i | 1 << j] + ranks[mask]
-                if lhs < rhs:
-                    report.violations.append(
-                        f"P3: exchange fails at mask {mask:b} with "
-                        f"{ground[i]!r}, {ground[j]!r}"
-                    )
+    p2 = compress(count(), map(lt, map(get, xi), map(get, x)))
+    p3 = compress(count(), map(lt, map(add, map(get, yi), map(get, yj)),
+                               map(add, map(get, yij), map(get, y))))
+    bad = [(x[k], (xi[k] ^ x[k]).bit_length() - 1, -1) for k in p2]
+    bad += [(y[k], (yi[k] ^ y[k]).bit_length() - 1, (yj[k] ^ y[k]).bit_length() - 1)
+            for k in p3]
+    for mask, i, j in sorted(bad):  # P2 at (X, i) before the exchanges at (X, i, j)
+        report.violations.append(
+            f"P2: rank decreases when adding {ground[i]!r} to mask {mask:b}" if j < 0 else
+            f"P3: exchange fails at mask {mask:b} with {ground[i]!r}, {ground[j]!r}"
+        )
     return report
 
 
@@ -183,14 +200,11 @@ def membership(oracle: RankOracle, x: Mapping[str, int]) -> bool:
     if n > 20:
         raise ResourceLimit(f"ground set too large: {n} > 20")
     vals = [x[lab] for lab in ground]
-    for mask in range(1 << n):
-        total = sum(vals[i] for i in iter_bits(mask))
-        r = oracle.rank(ground[i] for i in iter_bits(mask))
-        if total > r:
-            return False
-        if mask == (1 << n) - 1 and total != r:
-            return False
-    return True
+    totals = [0]  # x(X) by bitmask, built by doubling as the ranks are
+    for v in vals:
+        totals += [t + v for t in totals]
+    ranks = _rank_list(oracle)
+    return all(map(le, totals, ranks)) and totals[-1] == ranks[-1]
 
 
 @dataclass
@@ -205,14 +219,21 @@ class RealizationReport:
 
 
 def _greedy_skeleton(oracle: RankOracle) -> tuple[dict, set]:
-    """The greedy point of every ordering of the ground set (coordinates in
-    ground order), and the pairs of distinct greedy points of two orderings
+    """The greedy point of every ordering of the ground set, keyed by the
+    ordering's tuple of ground indices (coordinates in ground order), read
+    off one rank list, and the pairs of distinct greedy points of two orderings
     one adjacent transposition apart. For a polymatroid these pairs are the
     edges of the base polytope (Topkis, "Paths on polymatroids", 1992)."""
+    ranks = _rank_list(oracle)
+    if ranks[0] != 0:
+        raise InvalidArgument("oracle is not normalized: rank(empty) != 0")
     points = {}
-    for sigma in permutations(oracle.ground):
-        point = greedy_extreme_point(oracle, sigma)
-        points[sigma] = tuple(point[lab] for lab in oracle.ground)
+    for sigma in permutations(range(len(oracle.ground))):
+        point, prefix = [0] * len(sigma), 0
+        for i in sigma:
+            point[i] = ranks[prefix | 1 << i] - ranks[prefix]
+            prefix |= 1 << i
+        points[sigma] = tuple(point)
     pairs = (
         frozenset((point, points[s[:i] + (s[i + 1], s[i]) + s[i + 2:]]))
         for s, point in points.items() for i in range(len(s) - 1)
@@ -237,7 +258,7 @@ def verify_realization(g: Graph) -> RealizationReport:
     coords = [tuple(devadoss_coordinates(g, t).values()) for t in trees]  # label order
     greedy, skeleton = _greedy_skeleton(GraphAssocRank(g))
     compat = all(
-        point == coords[ids[_pack(_ordering_parent(g.adj, list(map(g.index, sigma))))]]
+        point == coords[ids[_pack(_ordering_parent(g.adj, sigma))]]
         for sigma, point in greedy.items()
     )
     point_set = set(coords)

@@ -463,6 +463,23 @@ def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["enumerate", "diameter"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, command):
+    (tmp_path / "g.txt").write_text(P3)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gassoc.cli", command, str(tmp_path / "g.txt")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_dist_names_a_tree_that_is_not_an_elimination_tree(files, capsys):
     # the first case above: the ElimTree constructor rejects the chain
     g, a, b = files("g.txt", P3), files("a.tree", CHAIN_123), files("b.tree", CHAIN_213)

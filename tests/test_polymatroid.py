@@ -1,6 +1,8 @@
 """Rank oracle, axiom checking, greedy points, coordinates, membership."""
 
+import random
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,96 @@ def test_check_axioms_flags_violations():
     assert any(v.startswith("P3") for v in rep.violations)
 
 
+def _check_axioms_reference(oracle):
+    """check_axioms as one Python iteration per check: the reference for
+    the report of the C-level passes, violations in the same order."""
+    ground = list(oracle.ground)
+    n = len(ground)
+    report = polymatroid.AxiomReport()
+    ranks = {}
+    for mask in range(1 << n):
+        ranks[mask] = oracle.rank(ground[i] for i in range(n) if mask >> i & 1)
+    if ranks[0] != 0:
+        report.violations.append(f"P1: rank(empty) = {ranks[0]} != 0")
+    report.checked += 1
+    for mask in range(1 << n):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            report.checked += 1
+            if ranks[mask | 1 << i] < ranks[mask]:
+                report.violations.append(
+                    f"P2: rank decreases when adding {ground[i]!r} to mask {mask:b}"
+                )
+            for j in range(i + 1, n):
+                if mask >> j & 1:
+                    continue
+                report.checked += 1
+                lhs = ranks[mask | 1 << i] + ranks[mask | 1 << j]
+                rhs = ranks[mask | 1 << i | 1 << j] + ranks[mask]
+                if lhs < rhs:
+                    report.violations.append(
+                        f"P3: exchange fails at mask {mask:b} with "
+                        f"{ground[i]!r}, {ground[j]!r}"
+                    )
+    return report
+
+
+def test_check_axioms_matches_the_reference_loop():
+    # Coverage functions (polymatroids) with 0 to 3 entries moved, and every
+    # fifth table random, so P1, P2 and P3 faults mix, several to a mask.
+    rng = random.Random(2023)
+    kinds = set()
+    for n in range(7):
+        ground = tuple("abcdef"[:n])
+        subsets = [frozenset(s) for r in range(n + 1) for s in combinations(ground, r)]
+        for trial in range(20):
+            cover = {lab: set(rng.sample(range(6), rng.randint(0, 3))) for lab in ground}
+            table = {s: len(set().union(*(cover[lab] for lab in s))) for s in subsets}
+            for s in rng.sample(subsets, min(len(subsets), trial % 4)):
+                table[s] += rng.choice((-2, -1, 1, 2))
+            if trial % 5 == 4:
+                table = {s: rng.randint(0, 4) for s in subsets}
+            oracle = TableRank(ground, table)
+            want = _check_axioms_reference(oracle)
+            got = check_axioms(oracle)
+            assert (got.checked, got.violations) == (want.checked, want.violations)
+            kinds.update(v[:2] for v in want.violations)
+    assert kinds == {"P1", "P2", "P3"}
+
+
+class CountingRank(GraphAssocRank):
+    """GraphAssocRank that counts the rank queries made of it."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.calls = 0
+
+    def rank(self, subset):
+        self.calls += 1
+        return super().rank(subset)
+
+
+def _assert_skeleton_points_are_greedy(oracle):
+    points, _ = _greedy_skeleton(oracle)
+    ground = oracle.ground
+    assert len(points) == factorial(len(ground))
+    for sigma, point in points.items():
+        labels = [ground[i] for i in sigma]
+        assert dict(zip(ground, point)) == greedy_extreme_point(oracle, labels)
+
+
+def test_axioms_and_skeleton_ask_each_rank_once():
+    for n in range(2, 6):
+        for g in connected_graphs_up_to_iso(n):
+            oracle = CountingRank(g)
+            assert check_axioms(oracle).ok and oracle.calls == 2 ** n
+            oracle = CountingRank(g)
+            _greedy_skeleton(oracle)
+            assert oracle.calls == 2 ** n
+            _assert_skeleton_points_are_greedy(oracle)
+
+
 def test_check_axioms_cap():
     g = random_connected_graph(13, 0.3, 1)
     with pytest.raises(ResourceLimit):
@@ -157,6 +249,28 @@ def test_devadoss_nonnegative_and_total():
         assert sum(coords.values()) == 3 ** (g.n - 2)
 
 
+def test_membership_reads_one_rank_list():
+    # tree points of C5 and the same points with one unit moved from 2 to 1
+    g = cycle_graph(5)
+    answers = []
+    for t in list(enumerate_all(g))[::7]:
+        x = devadoss_coordinates(g, t)
+        for point in (x, dict(x, **{"1": x["1"] + 1, "2": x["2"] - 1})):
+            o = CountingRank(g)
+            want = all(
+                sum(point[lab] for lab in s) <= o.rank(s)
+                for r in range(g.n + 1) for s in combinations(g.labels, r)
+            ) and sum(point.values()) == o.rank(g.labels)
+            o.calls = 0
+            assert membership(o, point) == want and o.calls == 2 ** g.n
+            answers.append(want)
+    assert set(answers[1::2]) == {False, True} and all(answers[::2])
+    big = CountingRank(path_graph(21))  # refused before any rank query
+    with pytest.raises(ResourceLimit, match="21 > 20"):
+        membership(big, {})
+    assert big.calls == 0
+
+
 def test_membership_examples():
     g = path_graph(3)
     o = GraphAssocRank(g)
@@ -186,12 +300,23 @@ def test_verify_realization_k3():
     assert rep.points == 6  # permutahedron vertices
 
 
-def test_verify_realization_n7():
-    # every check, the skeleton included, on 429 to 5,040 trees
-    for g in (path_graph(7), cycle_graph(7), complete_graph(7),
-              random_connected_graph(7, 0.4, 3)):
+def test_verify_realization_n7(monkeypatch):
+    # every check, the skeleton included, on 429 to 5,040 trees, from
+    # one rank query per subset
+    oracles = []
+
+    def counting(g):
+        oracles.append(CountingRank(g))
+        return oracles[-1]
+
+    monkeypatch.setattr(polymatroid, "GraphAssocRank", counting)
+    for g, trees in ((path_graph(7), 429), (cycle_graph(7), 924),
+                     (complete_graph(7), 5040), (random_connected_graph(7, 0.4, 3), None)):
         rep = verify_realization(g)
         assert rep.ok, rep.checks
+        assert list(rep.checks) == ["compat", "cover", "injective", "skeleton"]
+        assert trees is None or rep.trees == rep.points == trees
+        assert oracles[-1].calls == 2 ** 7
 
 
 def test_verify_realization_catches_a_missing_flip(monkeypatch):
@@ -263,6 +388,7 @@ def test_greedy_skeleton_of_a_graphic_matroid_is_the_base_exchange_graph():
                 for r in range(g.m + 1) for f in combinations(graphic.ground, r)
             })
             assert check_axioms(table).ok
+            _assert_skeleton_points_are_greedy(table)
             bases, edges, excess = _skeleton_excess(table)
             forests = (Graph(g.labels, f) for f in combinations(g.edges, n - 1))
             assert len(bases) == sum(h.is_connected() for h in forests)
