@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from array import array
 from functools import lru_cache
 from itertools import compress, count, permutations
-from operator import add, le, lt
-from typing import Iterable, Mapping, Sequence
+from operator import add, lt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .elimtree import ElimTree, _ordering_parent, _pack, is_valid
 from .errors import InvalidArgument, ResourceLimit
@@ -104,16 +104,22 @@ class AxiomReport:
         return not self.violations
 
 
-def _rank_list(oracle: RankOracle) -> list[int]:
-    """``oracle.rank`` of every subset of the ground set, asked once each and
-    listed by bitmask (bit i for ``ground[i]``). The label tuples of each half
-    of the ground set are built by doubling, so about 2^(n/2 + 1) are held."""
-    h = len(oracle.ground) // 2
-    low, high = [()], [()]
-    for half, labels in ((low, oracle.ground[:h]), (high, oracle.ground[h:])):
-        for lab in labels:
-            half += [s + (lab,) for s in half]
-    return [oracle.rank(lo + hi) for hi in high for lo in low]
+def _subset_sums(items: Sequence, zero) -> Iterator:
+    """``zero`` plus each subset of ``items``, yielded by bitmask (bit i for
+    ``items[i]``). The sums of each half of ``items`` are built by doubling,
+    so about 2^(n/2 + 1) are held, not 2^n."""
+    h = len(items) // 2
+    low, high = [zero], [zero]
+    for half, part in ((low, items[:h]), (high, items[h:])):
+        for v in part:
+            half += [s + v for s in half]
+    return (lo + hi for hi in high for lo in low)
+
+
+def _ranks(oracle: RankOracle) -> Iterator[int]:
+    """``oracle.rank`` of each subset of the ground set, asked once each, as
+    they are read, by bitmask (bit i for ``ground[i]``)."""
+    return map(oracle.rank, _subset_sums([(lab,) for lab in oracle.ground], ()))
 
 
 @lru_cache(maxsize=4)
@@ -140,7 +146,7 @@ def check_axioms(oracle: RankOracle) -> AxiomReport:
     n = len(ground)
     if n > 12:
         raise ResourceLimit(f"ground set too large: {n} > 12")
-    ranks = _rank_list(oracle)
+    ranks = list(_ranks(oracle))
     get = ranks.__getitem__
     (x, xi), (y, yi, yj, yij) = _exchange_columns(n)
     report = AxiomReport(checked=1 + len(x) + len(y))
@@ -199,12 +205,10 @@ def membership(oracle: RankOracle, x: Mapping[str, int]) -> bool:
     n = len(ground)
     if n > 20:
         raise ResourceLimit(f"ground set too large: {n} > 20")
-    vals = [x[lab] for lab in ground]
-    totals = [0]  # x(X) by bitmask, built by doubling as the ranks are
-    for v in vals:
-        totals += [t + v for t in totals]
-    ranks = _rank_list(oracle)
-    return all(map(le, totals, ranks)) and totals[-1] == ranks[-1]
+    for total, r in zip(_subset_sums([x[lab] for lab in ground], 0), _ranks(oracle)):
+        if total > r:
+            return False
+    return total == r  # the last subset is the full ground set
 
 
 @dataclass
@@ -224,7 +228,7 @@ def _greedy_skeleton(oracle: RankOracle) -> tuple[dict, set]:
     off one rank list, and the pairs of distinct greedy points of two orderings
     one adjacent transposition apart. For a polymatroid these pairs are the
     edges of the base polytope (Topkis, "Paths on polymatroids", 1992)."""
-    ranks = _rank_list(oracle)
+    ranks = list(_ranks(oracle))
     if ranks[0] != 0:
         raise InvalidArgument("oracle is not normalized: rank(empty) != 0")
     points = {}

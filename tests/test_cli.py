@@ -463,10 +463,15 @@ def test_rejected_input_exits_without_traceback(tmp_path, argv, texts, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", ["enumerate", "diameter"])
-def test_closed_stdout_exits_141_without_traceback(tmp_path, command):
+def test_closed_stdout_exits_141_without_traceback(tmp_path, command, unbuffered):
+    # buffered, the short output first reaches the pipe in main's own flush
     (tmp_path / "g.txt").write_text(P3)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:

@@ -249,22 +249,27 @@ def test_devadoss_nonnegative_and_total():
         assert sum(coords.values()) == 3 ** (g.n - 2)
 
 
-def test_membership_reads_one_rank_list():
-    # tree points of C5 and the same points with one unit moved from 2 to 1
+def test_membership_reads_the_ranks_until_the_first_violation():
+    # tree points of C5 and the same points with one unit moved from 2 to 1;
+    # a member asks each of the 2^n ranks once, a non-member stops at the
+    # first violated subset in bitmask order
     g = cycle_graph(5)
     answers = []
     for t in list(enumerate_all(g))[::7]:
         x = devadoss_coordinates(g, t)
         for point in (x, dict(x, **{"1": x["1"] + 1, "2": x["2"] - 1})):
             o = CountingRank(g)
-            want = all(
-                sum(point[lab] for lab in s) <= o.rank(s)
-                for r in range(g.n + 1) for s in combinations(g.labels, r)
-            ) and sum(point.values()) == o.rank(g.labels)
+            subsets = [[lab for i, lab in enumerate(g.labels) if mask >> i & 1]
+                       for mask in range(1 << g.n)]
+            bad = [m for m, s in enumerate(subsets)
+                   if sum(point[lab] for lab in s) > o.rank(s)]
+            want = not bad and sum(point.values()) == o.rank(g.labels)
             o.calls = 0
-            assert membership(o, point) == want and o.calls == 2 ** g.n
-            answers.append(want)
-    assert set(answers[1::2]) == {False, True} and all(answers[::2])
+            assert membership(o, point) == want
+            assert o.calls == (bad[0] + 1 if bad else 2 ** g.n)
+            answers.append((want, o.calls < 2 ** g.n))
+    assert set(answers[1::2]) >= {(False, True), (True, False)}
+    assert set(answers[::2]) == {(True, False)}
     big = CountingRank(path_graph(21))  # refused before any rank query
     with pytest.raises(ResourceLimit, match="21 > 20"):
         membership(big, {})
