@@ -134,15 +134,18 @@ def _twin_classes(adj: Sequence[int]) -> list[list[int]]:
 
 
 def _unit_bound(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int) -> _TwinBound | None:
-    """Check that t1 and t2 are trees of ``g``; then the averaging bound
-    towards t2 when ``g`` is a clique blow-up that A* pays off on, else None.
-    That needs at least 3 fewer twin classes than vertices, and at most 64
-    copy selections: below the first, the tables cost more than the search
-    saves; above the second, the projections per expanded tree do. The
-    count is multiplied up class by class and given up once above 64, so
-    no selection is listed for a graph over the cap."""
+    """Check that t1 and t2 are trees of ``g`` and that ``node_budget`` is
+    not negative; then the averaging bound towards t2 when ``g`` is a clique
+    blow-up that A* pays off on, else None. That needs at least 3 fewer twin
+    classes than vertices, and at most 64 copy selections: below the first,
+    the tables cost more than the search saves; above the second, the
+    projections per expanded tree do. The count is multiplied up class by
+    class and given up once above 64, so no selection is listed for a graph
+    over the cap."""
     if not (is_valid(g, t1) and is_valid(g, t2)):
         raise InvalidArgument("not an elimination tree of the given graph")
+    if node_budget < 0:
+        raise ResourceLimit(f"node budget {node_budget} exceeded")
     classes = _twin_classes(g.adj)
     if g.n - len(classes) < 3:
         return None
@@ -287,7 +290,8 @@ def distance(
     bound = _unit_bound(g, t1, t2, node_budget)
     if bound is None:
         return _bidirectional_bfs(g, t1, t2, node_budget)[0]
-    return _astar(g, t1, t2, bound, node_budget)[t2.canonical_key()]
+    return _uniform_cost(g, [1] * g.n, t1, t2, node_budget, bound.spent,
+                         bound)[t2.canonical_key()]
 
 
 def shortest_path(
@@ -298,10 +302,10 @@ def shortest_path(
     Each tree's predecessor is its smallest-key neighbour one step closer
     to t1, as in a BFS from t1 that expands each level in key order.
     """
-    bound = _unit_bound(g, t1, t2, node_budget)
+    bound, unit = _unit_bound(g, t1, t2, node_budget), [1] * g.n
     if bound is not None:
-        return _walk_back(g, _astar(g, t1, t2, bound, node_budget, close=True), t1, t2,
-                          lambda u, v: 1)
+        return _walk_back(g, _uniform_cost(g, unit, t1, t2, node_budget, bound.spent, bound,
+                                           close=True), t1, t2, unit)
     d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, node_budget)
     # dist1 is exact up to the radius of the search from t1. The walk from
     # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
@@ -318,25 +322,57 @@ def shortest_path(
                     dist1[nk] = d - level
                     nxt.append(nk)
         layer = nxt
-    return _walk_back(g, dist1, t1, t2, lambda u, v: 1)
+    return _walk_back(g, dist1, t1, t2, unit)
 
 
-def _astar(g: Graph, t1: ElimTree, t2: ElimTree, bound: _TwinBound, node_budget: int,
-           close: bool = False) -> dict[bytes, int]:
-    """A* from t1 to t2, trees of ``g``, under ``bound`` towards t2: heap
-    entries (f, -d, key) with f = S d + H, so ties go to the deeper tree,
-    then to the smaller key. H is consistent, so each tree popped is
-    settled. Returns the map from key to best distance once t2 is popped.
+def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, wi: Sequence[int]) -> ReconfigSequence:
+    """The path that steps back from each tree x, t2 first, to its neighbour
+    nk of least (dist[nk], nk) with dist[nk] + wi[u] wi[v] == dist[x], until
+    t1. ``dist`` holds upper bounds on the distance from t1 under the
+    weights ``wi``, exact on every tree of a shortest path. It re-expands
+    only the path's trees, unbudgeted."""
+    moves = []
+    key, start_key = t2.canonical_key(), t1.canonical_key()
+    while key != start_key:
+        d = dist[key]
+        _, key, u, v = min((dist[nk], nk, u, v) for u, v, nk in swap_neighbors(g.adj, key)
+                           if nk in dist and dist[nk] + wi[u] * wi[v] == d)
+        moves.append(SwapMove(g.labels[v], g.labels[u]))
+    return ReconfigSequence(t1, tuple(reversed(moves)))
 
-    With ``close`` the search goes on past t2 through every tree with f at
-    most S d(t1, t2), and pushes no tree above that: every tree of a
-    shortest path has such an f, so the map is then exact on all of them.
-    Every expansion counts against ``node_budget``, closing ones too, and
-    so do the ``bound.spent`` states of the bound's tables."""
-    goal, start_key = t2.canonical_key(), t1.canonical_key()
-    heap: list[tuple[int, int, bytes]] = [(bound.h(start_key), 0, start_key)]
+
+def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree,
+                     node_budget: int) -> list[int]:
+    """The weights of a query on trees t1, t2 of ``g`` as ints in label
+    order, once t2, then t1, then the weights, then the budget are checked."""
+    if not (is_valid(g, t2) and is_valid(g, t1)):
+        raise InvalidArgument("not an elimination tree of the given graph")
+    wi = check_weights(g, w)
+    if node_budget < 0:
+        raise ResourceLimit(f"node budget {node_budget} exceeded")
+    return wi
+
+
+def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
+                  node_budget: int = DEFAULT_NODE_BUDGET, spent: int = 0,
+                  bound: _TwinBound | None = None, close: bool = False) -> dict[bytes, int]:
+    """Best-first search from t1, a tree of ``g``, under the checked positive
+    integer weights ``wi`` in label order, expanding at most ``node_budget``
+    states, ``spent`` of them already charged: its map from key to best
+    distance, returned when ``target`` is popped or, without one, once every
+    tree is settled. Heap entries are (f, -d, key): f = d, so (d, key) order,
+    or with ``bound`` towards ``target`` (unit weights) A*'s f = S d + H, ties
+    to the deeper tree. Either way each tree popped is settled: the map is
+    exact there and an upper bound on the distance elsewhere.
+
+    With ``close`` the search goes on past the target through every tree of f
+    at most the target's, budgeted, and pushes no tree above that: every tree
+    of a shortest path has such an f, so the map is then exact on all of them."""
+    goal = None if target is None else target.canonical_key()
+    start_key = t1.canonical_key()
+    heap = [(0 if bound is None else bound.h(start_key), 0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
-    expanded, limit, size = bound.spent, None, bound.size
+    expanded, limit = spent, None
     while heap:
         f, neg_d, key = heapq.heappop(heap)
         d = best[key]
@@ -353,70 +389,15 @@ def _astar(g: Graph, t1: ElimTree, t2: ElimTree, bound: _TwinBound, node_budget:
         expanded += 1
         if expanded > node_budget:
             raise ResourceLimit(f"node budget {node_budget} exceeded")
-        nd, nf, delta = d + 1, f + size, bound.expand(key)
-        for u, v, nk in swap_neighbors(g.adj, key):
-            if nk not in best or nd < best[nk]:
-                f_nk = nf + delta(u, v)
-                if limit is None or f_nk <= limit:
-                    best[nk] = nd
-                    heapq.heappush(heap, (f_nk, -nd, nk))
-    if limit is None:
-        raise AssertionError("flip graph is connected; target must be reached")
-    return best
-
-
-def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, cost) -> ReconfigSequence:
-    """The path that steps back from each tree x, t2 first, to its neighbour
-    nk of least (dist[nk], nk) with dist[nk] + cost(u, v) == dist[x], until
-    t1. ``dist`` holds upper bounds on the distance from t1, exact on every
-    tree of a shortest path. It re-expands only the path's trees, unbudgeted."""
-    moves = []
-    key, start_key = t2.canonical_key(), t1.canonical_key()
-    while key != start_key:
-        d = dist[key]
-        _, key, u, v = min((dist[nk], nk, u, v) for u, v, nk in swap_neighbors(g.adj, key)
-                           if nk in dist and dist[nk] + cost(u, v) == d)
-        moves.append(SwapMove(g.labels[v], g.labels[u]))
-    return ReconfigSequence(t1, tuple(reversed(moves)))
-
-
-def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree) -> list[int]:
-    """The weights of a query on trees t1, t2 of ``g`` as ints in label
-    order, once t2, then t1, then the weights are checked."""
-    if not (is_valid(g, t2) and is_valid(g, t1)):
-        raise InvalidArgument("not an elimination tree of the given graph")
-    return check_weights(g, w)
-
-
-def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET, spent: int = 0) -> dict[bytes, int]:
-    """Uniform-cost search from t1, a tree of ``g``, under the checked
-    positive integer weights ``wi`` in label order, in (d, key) heap order,
-    expanding at most ``node_budget`` states, ``spent`` of them already
-    charged: its map from key to best distance, returned when ``target`` is
-    popped or, without one, once every tree is settled. With positive
-    weights every tree closer than the target was settled first, so the map
-    is exact there and an upper bound on the distance elsewhere."""
-    goal = None if target is None else target.canonical_key()
-    start_key = t1.canonical_key()
-    heap: list[tuple[int, bytes]] = [(0, start_key)]
-    best: dict[bytes, int] = {start_key: 0}
-    expanded = spent
-    while heap:
-        d, key = heapq.heappop(heap)
-        if d > best[key]:
-            continue  # a stale entry of a tree already expanded
-        if key == goal:
-            return best
-        expanded += 1
-        if expanded > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        delta = None if bound is None else bound.expand(key)
         for u, v, nk in swap_neighbors(g.adj, key):
             nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
-                best[nk] = nd
-                heapq.heappush(heap, (nd, nk))
-    if goal is not None:
+                f_nk = nd if delta is None else f + bound.size * (nd - d) + delta(u, v)
+                if limit is None or f_nk <= limit:
+                    best[nk] = nd
+                    heapq.heappush(heap, (f_nk, -nd, nk))
+    if goal is not None and limit is None:
         raise AssertionError("flip graph is connected; target must be reached")
     return best
 
@@ -429,7 +410,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    wi = _checked_weights(g, w, t1, t2)
+    wi = _checked_weights(g, w, t1, t2, node_budget)
     return _uniform_cost(g, wi, t1, t2, node_budget)[t2.canonical_key()]
 
 
@@ -442,9 +423,8 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence; each tree's predecessor is
     its optimal neighbour of least (distance, key), the first one settled."""
-    wi = _checked_weights(g, w, t1, t2)
-    dist = _uniform_cost(g, wi, t1, t2, node_budget)
-    return _walk_back(g, dist, t1, t2, lambda u, v: wi[u] * wi[v])
+    wi = _checked_weights(g, w, t1, t2, node_budget)
+    return _walk_back(g, _uniform_cost(g, wi, t1, t2, node_budget), t1, t2, wi)
 
 
 # -- explicit materialization and diameter ------------------------------

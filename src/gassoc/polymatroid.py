@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from array import array
 from functools import lru_cache
 from itertools import compress, count, permutations
-from operator import add, lt
+from operator import add, index, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .elimtree import ElimTree, _ordering_parent, _pack, is_valid
@@ -200,12 +200,20 @@ def devadoss_coordinates(g: Graph, t: ElimTree) -> dict[str, int]:
 
 def membership(oracle: RankOracle, x: Mapping[str, int]) -> bool:
     """Exhaustive test of x in B(rank): x(X) <= rank(X) for all X, with
-    equality on the full ground set."""
+    equality on the full ground set. Each coordinate must be an integer."""
     ground = list(oracle.ground)
     n = len(ground)
     if n > 20:
         raise ResourceLimit(f"ground set too large: {n} > 20")
-    for total, r in zip(_subset_sums([x[lab] for lab in ground], 0), _ranks(oracle)):
+    xs = []
+    for lab in ground:
+        try:
+            xs.append(index(x[lab]))
+        except KeyError:
+            raise InvalidArgument(f"missing coordinate for {lab!r}") from None
+        except TypeError:
+            raise InvalidArgument(f"coordinates must be integers, x({lab!r}) = {x[lab]!r}") from None
+    for total, r in zip(_subset_sums(xs, 0), _ranks(oracle)):
         if total > r:
             return False
     return total == r  # the last subset is the full ground set

@@ -82,7 +82,7 @@ def test_dist_weighted_unit_equals_unweighted(files, capsys):
     assert plain == weighted
 
 
-def test_json_output_matches_schema(files, capsys):
+def test_json_output_matches_schema(files, capsys, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources as res
 
@@ -92,11 +92,17 @@ def test_json_output_matches_schema(files, capsys):
     g = files("g.txt", K3)
     t1 = files("t1.tree", CHAIN_123)
     t2 = files("t2.tree", CHAIN_321)
+    p4 = files("p4.txt", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n")
+    p3, w = files("p3.txt", P3), files("w.txt", "1 2\n2 1\n3 2\n")
     for argv in (
         ["dist", g, t1, t2, "--json", "--path"],
         ["diameter", g, "--json"],
         ["enumerate", g, "--json"],
         ["rank", g, "1", "--json"],
+        ["reduce", "cut", p4, "s", "t", str(tmp_path / "cut"), "--N", "2",
+         "--sufficiency", "s,v1", "--json"],
+        ["reduce", "blowup", p3, w, t1, t2, str(tmp_path / "bp"), "--json"],
+        ["verify", "realization", "--json"],
     ):
         code, out = run(capsys, *argv)
         assert code == 0
@@ -319,6 +325,11 @@ def test_rewritten_bundle_keeps_no_earlier_file(files, capsys, tmp_path):
 def test_exit_code_resource_limit(files, capsys, tmp_path):
     g = files("g.txt", K3)
     assert main(["--node-budget", "2", "enumerate", g]) == 4
+    # a negative budget fails even on identical trees, on the BFS and weighted routes
+    p3, t = files("p3.txt", P3), files("t.tree", CHAIN_123)
+    assert main(["--node-budget", "-1", "dist", p3, t, t]) == 4
+    assert main(["--node-budget", "-1", "dist", p3, t, t, "--weights",
+                 files("w1.txt", "1 1\n2 1\n3 1\n")]) == 4
     # the P4 instance at N = 2 has 25 vertices and 82 edges
     p4 = files("p4.txt", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n")
     cut = ["reduce", "cut", p4, "s", "t", str(tmp_path / "cut"), "--N", "2"]

@@ -159,6 +159,25 @@ CASES = {
         _one_vertex_coordinates,
         InvalidArgument("coordinates require at least two vertices"),
     ),
+    # A negative node budget fails on every route of a flip-distance query,
+    # even on identical trees; budget 0 still answers them.
+    "distance_negative_budget": (
+        lambda: distance(P3, P3_TREE, P3_TREE, node_budget=-1),
+        ResourceLimit("node budget -1 exceeded")),
+    "shortest_path_negative_budget": (
+        lambda: shortest_path(P3, P3_TREE, P3_TREE, node_budget=-1),
+        ResourceLimit("node budget -1 exceeded")),
+    "weighted_distance_negative_budget": (
+        lambda: weighted_distance(P3, UNIT, P3_TREE, P3_TREE, node_budget=-1),
+        ResourceLimit("node budget -1 exceeded")),
+    "distance_zero_budget": (lambda: distance(P3, P3_TREE, P3_TREE, node_budget=0), 0),
+    # A point is given by one integer coordinate per ground label.
+    "membership_missing_coordinate": (
+        lambda: membership(GraphAssocRank(P3), {"1": 1, "2": 2}),
+        InvalidArgument("missing coordinate for '3'")),
+    "membership_float_coordinate": (
+        lambda: membership(GraphAssocRank(P3), {"1": 1, "2": 1.0, "3": 1}),
+        InvalidArgument("coordinates must be integers, x('2') = 1.0")),
     "membership_too_big": (
         lambda: membership(TableRank([str(i) for i in range(21)], {}), {}),
         ResourceLimit("ground set too large: 21 > 20"),

@@ -2,10 +2,13 @@
 and the A* route it gives ``distance`` and ``shortest_path``.
 
 References: explicit ``bfs_distances`` over ``explicit_flip_graph``, the
-bidirectional BFS route (the bound switched off), and ``weighted_distance``
-on the source graph (the paper's weighted = blow-up lemma).
+bidirectional BFS route (the bound switched off), ``weighted_distance``
+on the source graph (the paper's weighted = blow-up lemma), and, for the
+one best-first search ``_uniform_cost``, copies of the separate A* and
+uniform-cost loops that it replaced.
 """
 
+import heapq
 import random
 import time
 import pytest
@@ -269,13 +272,108 @@ def _lemma_pairs(src, ws):
     return inst, weighted_distance(src, w, t1, t2)
 
 
-@pytest.mark.parametrize("src,ws,d", [
+LEMMA_CASES = [
     (cycle_graph(5), (2, 3, 2, 2, 2), 32),  # n = 11; 34 s by bidirectional BFS
     (path_graph(5), (2, 2, 2, 2, 2), 16),  # n = 10
     (star_graph(5), (1, 3, 2, 2, 2), 9),  # n = 10
     (random_connected_graph(6, 0.5, 2), (2,) * 6, 32),  # n = 12, S = 64; 138 s, 1.39 GB by BFS
-])
+]
+
+
+@pytest.mark.parametrize("src,ws,d", LEMMA_CASES)
 def test_blowup_distance_equals_the_weighted_distance_past_explicit_builds(src, ws, d):
     inst, d_w = _lemma_pairs(src, ws)
     assert distance(inst.graph, inst.t_ini, inst.t_tar) == d_w == d
     assert len(shortest_path(inst.graph, inst.t_ini, inst.t_tar)) == d
+
+
+# -- the one best-first search against the two loops it replaced ---------
+
+
+def _oracle_astar(g, t1, t2, bound, node_budget, close=False):
+    """A* as its own loop: heap entries (f, -d, key), f = S d + H."""
+    goal, start_key = t2.canonical_key(), t1.canonical_key()
+    heap = [(bound.h(start_key), 0, start_key)]
+    best = {start_key: 0}
+    expanded, limit, size = bound.spent, None, bound.size
+    while heap:
+        f, neg_d, key = heapq.heappop(heap)
+        d = best[key]
+        if -neg_d > d:
+            continue
+        if limit is None:
+            if key == goal:
+                if not close:
+                    return best
+                limit = f
+                continue
+        elif f > limit:
+            return best
+        expanded += 1
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        nd, nf, delta = d + 1, f + size, bound.expand(key)
+        for u, v, nk in swap_neighbors(g.adj, key):
+            if nk not in best or nd < best[nk]:
+                f_nk = nf + delta(u, v)
+                if limit is None or f_nk <= limit:
+                    best[nk] = nd
+                    heapq.heappush(heap, (f_nk, -nd, nk))
+    if limit is None:
+        raise AssertionError("flip graph is connected; target must be reached")
+    return best
+
+
+def _oracle_uniform_cost(g, wi, t1, target=None, node_budget=10**7, spent=0):
+    """Uniform-cost search as its own loop: heap entries (d, key)."""
+    goal = None if target is None else target.canonical_key()
+    start_key = t1.canonical_key()
+    heap = [(0, start_key)]
+    best = {start_key: 0}
+    expanded = spent
+    while heap:
+        d, key = heapq.heappop(heap)
+        if d > best[key]:
+            continue
+        if key == goal:
+            return best
+        expanded += 1
+        if expanded > node_budget:
+            raise ResourceLimit(f"node budget {node_budget} exceeded")
+        for u, v, nk in swap_neighbors(g.adj, key):
+            nd = d + wi[u] * wi[v]
+            if nk not in best or nd < best[nk]:
+                best[nk] = nd
+                heapq.heappush(heap, (nd, nk))
+    if goal is not None:
+        raise AssertionError("flip graph is connected; target must be reached")
+    return best
+
+
+def _astar_pairs():
+    """Every A* pair built above: the reduce workload's and the lemma's."""
+    for j in range(len(REDUCE_PAIRS)):
+        yield _reduce_pair(j)[:3]
+    for src, ws, _ in LEMMA_CASES:
+        inst = _lemma_pairs(src, ws)[0]
+        yield inst.graph, inst.t_ini, inst.t_tar
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_search_with_the_bound_equals_the_astar_loop(close):
+    for g, t1, t2 in _astar_pairs():
+        bound = flipgraph._unit_bound(g, t1, t2, 10**7)
+        got = _uniform_cost(g, [1] * g.n, t1, t2, 10**7, bound.spent, bound, close=close)
+        assert got == _oracle_astar(g, t1, t2, bound, 10**7, close=close)
+
+
+def test_search_without_a_bound_equals_the_uniform_cost_loop():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for g in connected_graphs_up_to_iso(n):
+            trees = enumerate_all(g)
+            wi = [rng.randint(1, 5) for _ in range(n)]
+            for _ in range(3):
+                t1, t2 = rng.choice(trees), rng.choice(trees)
+                assert _uniform_cost(g, wi, t1, t2) == _oracle_uniform_cost(g, wi, t1, t2)
+            assert _uniform_cost(g, wi, t1) == _oracle_uniform_cost(g, wi, t1)
