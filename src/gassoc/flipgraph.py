@@ -84,16 +84,14 @@ def enumerate_all(g: Graph, cap: int = DEFAULT_NODE_BUDGET) -> list[ElimTree]:
     return _trees(g, sorted(_flip_graph(g, cap)[0]))
 
 
-def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
-    """Bidirectional BFS between two checked trees of ``g``, expanding the
-    smaller frontier one whole level at a time, at most ``node_budget``
-    states in all. Returns the distance d, the maps from key to distance of
-    the searches from t1 and from t2, and the keys of the trees where the
-    two met."""
-    k1, k2 = t1.canonical_key(), t2.canonical_key()
+def _bidirectional_bfs(adj: Sequence[int], k1: bytes, k2: bytes, node_budget: int,
+                       path: bool) -> dict[bytes, int]:
+    """Bidirectional BFS between the distinct trees with keys k1 and k2 on
+    the graph with adjacency masks ``adj``, expanding the smaller frontier
+    one whole level at a time, at most ``node_budget`` states in all. Returns
+    the map from key to distance of the search from k1, exact at k2 and,
+    with ``path``, on every tree of a k1-k2 geodesic."""
     dist = ({k1: 0}, {k2: 0})
-    if k1 == k2:
-        return 0, dist, [k2]
     frontier = [[k1], [k2]]
     depth = [0, 0]
     expanded = 0
@@ -108,7 +106,7 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
         level = depth[side] + 1
         nxt, meets = [], []
         for key in frontier[side]:
-            for _, _, nk in swap_neighbors(g.adj, key):
+            for _, _, nk in swap_neighbors(adj, key):
                 if nk not in mine:
                     mine[nk] = level
                     nxt.append(nk)
@@ -116,11 +114,31 @@ def _bidirectional_bfs(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int):
                         meets.append(nk)
         depth[side] = level
         if meets:
-            # Each map held a whole ball and the balls were disjoint, so the
-            # distance exceeds the sum of the old depths; every meeting tree
-            # lies on the other side's last level and on a geodesic.
-            return level + depth[1 - side], dist, meets
+            break
         frontier[side] = nxt
+    # Each map held a whole ball and the balls were disjoint, so the distance
+    # exceeds the sum of the old depths; every meeting tree lies on the other
+    # side's last level and on a geodesic.
+    d = level + depth[1 - side]
+    dist1, dist2 = dist
+    dist1[k2] = d
+    if path:
+        # dist1 is exact up to the radius of the search from k1. The walk
+        # from k2 back to k1 only meets trees on k1-k2 geodesics; beyond that
+        # radius, find them by descending from the meeting trees (one level
+        # of the search from k2) through k2's map: a geodesic tree j steps
+        # from k2 is d - j from k1.
+        layer, level = meets, dist2[meets[0]]
+        while level > 1:
+            level -= 1
+            nxt = []
+            for key in layer:
+                for _, _, nk in swap_neighbors(adj, key):
+                    if dist2.get(nk) == level and nk not in dist1:
+                        dist1[nk] = d - level
+                        nxt.append(nk)
+            layer = nxt
+    return dist1
 
 
 def _twin_classes(adj: Sequence[int]) -> list[list[int]]:
@@ -133,28 +151,23 @@ def _twin_classes(adj: Sequence[int]) -> list[list[int]]:
     return list(classes.values())
 
 
-def _unit_bound(g: Graph, t1: ElimTree, t2: ElimTree, node_budget: int) -> _TwinBound | None:
-    """Check that t1 and t2 are trees of ``g`` and that ``node_budget`` is
-    not negative; then the averaging bound towards t2 when ``g`` is a clique
-    blow-up that A* pays off on, else None. That needs at least 3 fewer twin
-    classes than vertices, and at most 64 copy selections: below the first,
-    the tables cost more than the search saves; above the second, the
-    projections per expanded tree do. The count is multiplied up class by
-    class and given up once above 64, so no selection is listed for a graph
-    over the cap."""
-    if not (is_valid(g, t1) and is_valid(g, t2)):
-        raise InvalidArgument("not an elimination tree of the given graph")
-    if node_budget < 0:
-        raise ResourceLimit(f"node budget {node_budget} exceeded")
-    classes = _twin_classes(g.adj)
-    if g.n - len(classes) < 3:
+def _unit_bound(adj: Sequence[int], k2: bytes, node_budget: int) -> _TwinBound | None:
+    """The averaging bound towards the tree with key k2 when the graph with
+    adjacency masks ``adj`` is a clique blow-up that A* pays off on, else
+    None. That needs at least 3 fewer twin classes than vertices, and at
+    most 64 copy selections: below the first, the tables cost more than the
+    search saves; above the second, the projections per expanded tree do.
+    The count is multiplied up class by class and given up once above 64,
+    so no selection is listed for a graph over the cap."""
+    classes = _twin_classes(adj)
+    if len(adj) - len(classes) < 3:
         return None
     selections = 1
     for members in classes:
         selections *= len(members)
         if selections > 64:
             return None
-    return _TwinBound(g, classes, t2, node_budget)
+    return _TwinBound(adj, classes, k2, node_budget)
 
 
 class _TwinBound:
@@ -190,26 +203,23 @@ class _TwinBound:
     __slots__ = ("cls", "qadj", "masks", "holding", "pos2", "size", "tables", "spent", "_qtrees",
                  "_qswaps")
 
-    def __init__(self, g: Graph, classes: Sequence[Sequence[int]], t2: ElimTree,
+    def __init__(self, adj: Sequence[int], classes: Sequence[Sequence[int]], k2: bytes,
                  node_budget: int = DEFAULT_NODE_BUDGET):
-        self.cls = [0] * g.n
+        n = len(adj)
+        self.cls = [0] * n
         for c, members in enumerate(classes):
             for v in members:
                 self.cls[v] = c
         reps = [members[0] for members in classes]
-        q = Graph(map(str, range(len(reps))), [
-            (str(a), str(b)) for a, r in enumerate(reps) for b in range(a + 1, len(reps))
-            if g.adj[r] >> reps[b] & 1
-        ])
-        self.qadj = q.adj
+        self.qadj = [sum(1 << b for b, s in enumerate(reps) if adj[r] >> s & 1) for r in reps]
         self.masks = [sum(1 << v for v in phi) for phi in product(*classes)]
         self.size = len(self.masks)
-        self.holding = [0] * g.n  # bit i of holding[v]: selection i holds v
+        self.holding = [0] * n  # bit i of holding[v]: selection i holds v
         for i, mask in enumerate(self.masks):
             for v in iter_bits(mask):
                 self.holding[v] |= 1 << i
-        order2 = _shape(t2.parent)[1]
-        self.pos2 = [0] * g.n
+        order2 = _shape(_unpack(k2, n))[1]
+        self.pos2 = [0] * n
         for i, v in enumerate(order2):
             self.pos2[v] = i
         sizes = [len(members) for members in classes]
@@ -220,9 +230,7 @@ class _TwinBound:
         self.spent = 0
         for qk in targets:
             if qk not in tables:
-                start = ElimTree._trusted(q, tuple(_unpack(qk, q.n)), key=qk)
-                tables[qk] = _uniform_cost(q, sizes, start, node_budget=node_budget,
-                                           spent=self.spent)
+                tables[qk] = _uniform_cost(self.qadj, sizes, qk, None, node_budget, self.spent)
                 self.spent += len(tables[qk])  # a settle-all search expands each tree once
         self.tables = [tables[qk] for qk in targets]
 
@@ -287,11 +295,7 @@ def distance(
     """Flip distance over the implicit graph: by A* under the averaging
     bound when ``g`` is a clique blow-up that ``_unit_bound`` accepts, else
     by bidirectional BFS."""
-    bound = _unit_bound(g, t1, t2, node_budget)
-    if bound is None:
-        return _bidirectional_bfs(g, t1, t2, node_budget)[0]
-    return _uniform_cost(g, [1] * g.n, t1, t2, node_budget, bound.spent,
-                         bound)[t2.canonical_key()]
+    return _query(g, None, t1, t2, node_budget, False)
 
 
 def shortest_path(
@@ -302,27 +306,33 @@ def shortest_path(
     Each tree's predecessor is its smallest-key neighbour one step closer
     to t1, as in a BFS from t1 that expands each level in key order.
     """
-    bound, unit = _unit_bound(g, t1, t2, node_budget), [1] * g.n
-    if bound is not None:
-        return _walk_back(g, _uniform_cost(g, unit, t1, t2, node_budget, bound.spent, bound,
-                                           close=True), t1, t2, unit)
-    d, (dist1, dist2), layer = _bidirectional_bfs(g, t1, t2, node_budget)
-    # dist1 is exact up to the radius of the search from t1. The walk from
-    # t2 back to t1 only meets trees on t1-t2 geodesics; beyond that radius,
-    # find them by descending from the meeting trees (one level of the search
-    # from t2) through t2's map: a geodesic tree j steps from t2 is d - j from t1.
-    dist1[t2.canonical_key()] = d
-    level = dist2[layer[0]]
-    while level > 1:
-        level -= 1
-        nxt = []
-        for key in layer:
-            for _, _, nk in swap_neighbors(g.adj, key):
-                if dist2.get(nk) == level and nk not in dist1:
-                    dist1[nk] = d - level
-                    nxt.append(nk)
-        layer = nxt
-    return _walk_back(g, dist1, t1, t2, unit)
+    return _query(g, None, t1, t2, node_budget, True)
+
+
+def _query(g: Graph, w: Mapping[str, int] | None, t1: ElimTree, t2: ElimTree,
+           node_budget: int, path: bool) -> int | ReconfigSequence:
+    """The one way into the four flip-distance queries: the distance from t1
+    to t2 under the weights ``w`` (unit weights if None) or, with ``path``,
+    a shortest sequence. It checks that both trees are of ``g``, then the
+    weights, then that the budget is not negative, and answers identical
+    trees before any search. Otherwise an unweighted query runs A* under
+    the bound when ``_unit_bound`` gives one, else the bidirectional BFS,
+    and a weighted query the uniform-cost search."""
+    if not (is_valid(g, t1) and is_valid(g, t2)):
+        raise InvalidArgument("not an elimination tree of the given graph")
+    wi = [1] * g.n if w is None else check_weights(g, w)
+    if node_budget < 0:
+        raise ResourceLimit(f"node budget {node_budget} exceeded")
+    k1, k2 = t1.canonical_key(), t2.canonical_key()
+    if k1 == k2:
+        dist = {k1: 0}
+    elif w is not None:
+        dist = _uniform_cost(g.adj, wi, k1, k2, node_budget)
+    elif (bound := _unit_bound(g.adj, k2, node_budget)) is not None:
+        dist = _uniform_cost(g.adj, wi, k1, k2, node_budget, bound.spent, bound, close=path)
+    else:
+        dist = _bidirectional_bfs(g.adj, k1, k2, node_budget, path)
+    return _walk_back(g, dist, t1, t2, wi) if path else dist[k2]
 
 
 def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, wi: Sequence[int]) -> ReconfigSequence:
@@ -341,35 +351,23 @@ def _walk_back(g: Graph, dist, t1: ElimTree, t2: ElimTree, wi: Sequence[int]) ->
     return ReconfigSequence(t1, tuple(reversed(moves)))
 
 
-def _checked_weights(g: Graph, w: Mapping[str, int], t1: ElimTree, t2: ElimTree,
-                     node_budget: int) -> list[int]:
-    """The weights of a query on trees t1, t2 of ``g`` as ints in label
-    order, once t2, then t1, then the weights, then the budget are checked."""
-    if not (is_valid(g, t2) and is_valid(g, t1)):
-        raise InvalidArgument("not an elimination tree of the given graph")
-    wi = check_weights(g, w)
-    if node_budget < 0:
-        raise ResourceLimit(f"node budget {node_budget} exceeded")
-    return wi
-
-
-def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | None = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET, spent: int = 0,
-                  bound: _TwinBound | None = None, close: bool = False) -> dict[bytes, int]:
-    """Best-first search from t1, a tree of ``g``, under the checked positive
-    integer weights ``wi`` in label order, expanding at most ``node_budget``
-    states, ``spent`` of them already charged: its map from key to best
-    distance, returned when ``target`` is popped or, without one, once every
-    tree is settled. Heap entries are (f, -d, key): f = d, so (d, key) order,
-    or with ``bound`` towards ``target`` (unit weights) A*'s f = S d + H, ties
-    to the deeper tree. Either way each tree popped is settled: the map is
+def _uniform_cost(adj: Sequence[int], wi: Sequence[int], start_key: bytes,
+                  goal: bytes | None = None, node_budget: int = DEFAULT_NODE_BUDGET,
+                  spent: int = 0, bound: _TwinBound | None = None,
+                  close: bool = False) -> dict[bytes, int]:
+    """Best-first search from the tree with key ``start_key`` on the graph
+    with adjacency masks ``adj``, under the checked positive integer weights
+    ``wi`` in index order, expanding at most ``node_budget`` states,
+    ``spent`` of them already charged: its map from key to best distance,
+    returned when ``goal`` is popped or, without one, once every tree is
+    settled. Heap entries are (f, -d, key): f = d, so (d, key) order, or
+    with ``bound`` towards ``goal`` (unit weights) A*'s f = S d + H, ties to
+    the deeper tree. Either way each tree popped is settled: the map is
     exact there and an upper bound on the distance elsewhere.
 
-    With ``close`` the search goes on past the target through every tree of f
-    at most the target's, budgeted, and pushes no tree above that: every tree
+    With ``close`` the search goes on past the goal through every tree of f
+    at most the goal's, budgeted, and pushes no tree above that: every tree
     of a shortest path has such an f, so the map is then exact on all of them."""
-    goal = None if target is None else target.canonical_key()
-    start_key = t1.canonical_key()
     heap = [(0 if bound is None else bound.h(start_key), 0, start_key)]
     best: dict[bytes, int] = {start_key: 0}
     expanded, limit = spent, None
@@ -390,7 +388,7 @@ def _uniform_cost(g: Graph, wi: Sequence[int], t1: ElimTree, target: ElimTree | 
         if expanded > node_budget:
             raise ResourceLimit(f"node budget {node_budget} exceeded")
         delta = None if bound is None else bound.expand(key)
-        for u, v, nk in swap_neighbors(g.adj, key):
+        for u, v, nk in swap_neighbors(adj, key):
             nd = d + wi[u] * wi[v]
             if nk not in best or nd < best[nk]:
                 f_nk = nd if delta is None else f + bound.size * (nd - d) + delta(u, v)
@@ -410,8 +408,7 @@ def weighted_distance(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum total swap weight, by uniform-cost search with exact integers."""
-    wi = _checked_weights(g, w, t1, t2, node_budget)
-    return _uniform_cost(g, wi, t1, t2, node_budget)[t2.canonical_key()]
+    return _query(g, w, t1, t2, node_budget, False)
 
 
 def weighted_shortest_path(
@@ -423,8 +420,7 @@ def weighted_shortest_path(
 ) -> ReconfigSequence:
     """A minimum-weight reconfiguration sequence; each tree's predecessor is
     its optimal neighbour of least (distance, key), the first one settled."""
-    wi = _checked_weights(g, w, t1, t2, node_budget)
-    return _walk_back(g, _uniform_cost(g, wi, t1, t2, node_budget), t1, t2, wi)
+    return _query(g, w, t1, t2, node_budget, True)
 
 
 # -- explicit materialization and diameter ------------------------------

@@ -60,19 +60,14 @@ class GraphAssocRank(RankOracle):
         self.graph = g
         self.ground = g.labels
         self._total = 3 ** (g.n - 2)
-        self._memo: dict[int, int] = {}
 
     def rank(self, subset: Iterable[str]) -> int:
         g = self.graph
-        xmask = g.mask(subset)
-        val = self._memo.get(xmask)
-        if val is None:
-            val = self._total
-            for comp in g.component_masks(g.full_mask & ~xmask):
-                size = comp.bit_count()
-                if size >= 2:
-                    val -= 3 ** (size - 2)
-            self._memo[xmask] = val
+        val = self._total
+        for comp in g.component_masks(g.full_mask & ~g.mask(subset)):
+            size = comp.bit_count()
+            if size >= 2:
+                val -= 3 ** (size - 2)
         return val
 
 

@@ -520,7 +520,8 @@ def test_numpy_is_imported_only_by_diameter(tmp_path):
     # only the eccentricity kernel imports numpy, lazily.
     paths = {}
     for name, text in [("g", P3), ("p4", "4 3\ns\nv1\nv2\nt\ns v1\nv1 v2\nv2 t\n"),
-                       ("w", "1 2\n2 1\n3 2\n"), ("a", CHAIN_123), ("b", CHAIN_321)]:
+                       ("w", "1 2\n2 1\n3 2\n"), ("w2", "1 2\n2 2\n3 2\n"),
+                       ("a", CHAIN_123), ("b", CHAIN_321)]:
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
     g, a, b = paths["g"], paths["a"], paths["b"]
@@ -530,6 +531,9 @@ def test_numpy_is_imported_only_by_diameter(tmp_path):
         ["reduce", "cut", paths["p4"], "s", "t", str(tmp_path / "cut"),
          "--N", "2", "--sufficiency", "s,v1"],
         ["reduce", "blowup", g, paths["w"], a, b, str(tmp_path / "bp")],
+        # n = 6 in 3 twin classes: the A* route
+        ["reduce", "blowup", g, paths["w2"], a, b, str(tmp_path / "bp2")],
+        ["dist", *(str(tmp_path / "bp2" / f) for f in ("graph.txt", "t_ini.tree", "t_tar.tree"))],
         ["enumerate", g],
         ["rank", g, "1", "2"],
         *(["verify", suite] for suite in ("axioms", "realization", "projection",

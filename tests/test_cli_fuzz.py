@@ -22,6 +22,11 @@ FILES = {
     "p3.b": "3 -\n2 3\n1 2\n",
     "p4.a": "1 -\n2 1\n3 2\n4 3\n",
     "p4.b": "2 -\n1 2\n3 2\n4 3\n",
+    # K4 is one twin class of four, so unweighted `dist` takes the A* route
+    "k4": "4 6\n1\n2\n3\n4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+    "k4.a": "1 -\n2 1\n3 2\n4 3\n",
+    "k4.b": "4 -\n3 4\n2 3\n1 2\n",
+    "k4.w": "1 2\n2 1\n3 1\n4 3\n",
     "p3.w": "1 2\n2 1\n3 3\n",
     "p4.w": "1 1\n2 2\n3 1\n4 2\n",
     "zero.w": "1 0\n2 1\n3 1\n4 1\n",
@@ -48,7 +53,7 @@ def _mostly(draw, usual, *others):
 def argvs(draw):
     command = draw(st.sampled_from(
         ["dist", "diameter", "enumerate", "rank", "project", "cut", "blowup"]))
-    size = "p4" if command == "cut" else draw(st.sampled_from(["p3", "p4"]))
+    size = "p4" if command == "cut" else draw(st.sampled_from(["p3", "p4", "k4"]))
     graph = _mostly(draw, f"@{size}", *ANY_FILE)
 
     def tree():
@@ -104,9 +109,8 @@ def work(tmp_path_factory):
     return work
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(argv=argvs())
-def test_cli_exits_with_a_documented_code(work, argv):
+def _run(work, argv):
+    """The exit code and stderr of ``main`` on argv, "@name" read as a path."""
     argv = [str(work / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -114,4 +118,23 @@ def test_cli_exits_with_a_documented_code(work, argv):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_cli_exits_with_a_documented_code(work, argv):
+    code, err = _run(work, argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+
+
+@pytest.mark.parametrize("budget", ["-3", "0", "1", "50", "2000"])
+def test_dist_on_the_astar_route_at_every_budget(work, budget):
+    # The draws above reach K4's `dist` almost only at budget 2000. A
+    # negative budget fails every query; identical trees need no search;
+    # the two chains need the bound's one table and then the search.
+    for tree in ("@k4.a", "@k4.b"):
+        for flags in ([], ["--path"]):
+            code, err = _run(work, ["--node-budget", budget, "dist", "@k4", "@k4.a", tree, *flags])
+            fails = budget == "-3" or (tree == "@k4.b" and budget in ("0", "1"))
+            assert code == (4 if fails else 0), (budget, tree, flags, err)

@@ -386,7 +386,7 @@ def test_weighted_distance_matches_its_core_and_a_reference():
                 w = {lab: rng.randint(1, 5) for lab in g.labels}
                 for i, ti in enumerate(trees):
                     ref = _reference_weighted_distances(trees, adj, w, i)
-                    core = _uniform_cost(g, [w[lab] for lab in g.labels], ti)
+                    core = _uniform_cost(g.adj, [w[lab] for lab in g.labels], ti.canonical_key())
                     assert len(core) == len(trees)
                     for j, tj in enumerate(trees):
                         d = weighted_distance(g, w, ti, tj)

@@ -5,9 +5,15 @@ and message, or a return value. The first rows give every public entry
 point that takes a graph and a tree a tree of another graph.
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
 
-from gassoc.elimtree import ElimTree, SwapMove, project
+from gassoc.cli import main
+from gassoc.elimtree import ElimTree, SwapMove, format_tree, project
 from gassoc.errors import IllegalMove, InvalidArgument, ResourceLimit
 from gassoc.flipgraph import (
     ReconfigSequence,
@@ -18,7 +24,7 @@ from gassoc.flipgraph import (
     weighted_length,
     weighted_shortest_path,
 )
-from gassoc.graph import Graph, balanced_min_cut_exists, min_st_cut_value
+from gassoc.graph import Graph, balanced_min_cut_exists, format_graph, min_st_cut_value
 from gassoc.polymatroid import (
     GraphAssocRank,
     TableRank,
@@ -38,6 +44,7 @@ from gassoc.reductions import (
     sufficiency_sequence,
 )
 from gassoc.smallgraphs import (
+    complete_graph,
     connected_graphs_up_to_iso,
     cycle_graph,
     path_graph,
@@ -68,6 +75,25 @@ STAR_TREE = ElimTree.from_ordering(star_graph(3), P3.labels)
 UNIT = {lab: 1 for lab in P3.labels}
 # The tree of P3 rooted at its middle vertex, one swap from P3_TREE.
 STAR_P3_TREE = ElimTree.from_ordering(P3, ["2", "1", "3"])
+
+# K4 (one twin class of four: flip-distance queries take the A* route), its
+# chain 1-2-3-4, and the chain 1-2-3-4 of P4, which is no tree of K4.
+K4 = complete_graph(4)
+K4_TREE = ElimTree.from_ordering(K4, K4.labels)
+P4_TREE = ElimTree.from_ordering(path_graph(4), K4.labels)
+
+
+def _dist_cli_on_identical_k4_trees():
+    """``gassoc --node-budget 0 dist`` on two copies of K4_TREE: the exit
+    code and stdout."""
+    with tempfile.TemporaryDirectory() as d:
+        graph, tree = Path(d, "k4.txt"), Path(d, "t.tree")
+        graph.write_text(format_graph(K4))
+        tree.write_text(format_tree(K4_TREE))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--node-budget", "0", "dist", str(graph), str(tree), str(tree)])
+    return code, out.getvalue()
 
 
 def _blowup_of_p3():
@@ -171,6 +197,28 @@ CASES = {
         lambda: weighted_distance(P3, UNIT, P3_TREE, P3_TREE, node_budget=-1),
         ResourceLimit("node budget -1 exceeded")),
     "distance_zero_budget": (lambda: distance(P3, P3_TREE, P3_TREE, node_budget=0), 0),
+    "distance_astar_negative_budget": (
+        lambda: distance(K4, K4_TREE, K4_TREE, node_budget=-1),
+        ResourceLimit("node budget -1 exceeded")),
+    "distance_astar_zero_budget": (lambda: distance(K4, K4_TREE, K4_TREE, node_budget=0), 0),
+    "shortest_path_astar_zero_budget": (
+        lambda: shortest_path(K4, K4_TREE, K4_TREE, node_budget=0).moves, ()),
+    "dist_cli_astar_zero_budget": (_dist_cli_on_identical_k4_trees, (0, "distance 0\n")),
+    # On every route the trees are checked first, then the weights, then
+    # the budget.
+    "distance_other_graph_before_budget": (
+        lambda: distance(P3, STAR_TREE, P3_TREE, node_budget=-1), GIVEN),
+    "distance_astar_other_graph_before_budget": (
+        lambda: distance(K4, K4_TREE, P4_TREE, node_budget=-1), GIVEN),
+    "shortest_path_astar_other_graph_before_budget": (
+        lambda: shortest_path(K4, P4_TREE, K4_TREE, node_budget=-1), GIVEN),
+    "weighted_path_other_graph_before_weights_and_budget": (
+        lambda: weighted_shortest_path(P3, {"1": 0.5, "2": 1, "3": 1}, P3_TREE, STAR_TREE,
+                                       node_budget=-1), GIVEN),
+    "weighted_distance_weights_before_budget": (
+        lambda: weighted_distance(K4, {"1": 1, "2": 1, "3": 0.5, "4": 1}, K4_TREE, K4_TREE,
+                                  node_budget=-1),
+        InvalidArgument("weights must be integers, w('3') = 0.5")),
     # A point is given by one integer coordinate per ground label.
     "membership_missing_coordinate": (
         lambda: membership(GraphAssocRank(P3), {"1": 1, "2": 2}),

@@ -9,6 +9,7 @@ uniform-cost loops that it replaced.
 """
 
 import heapq
+import math
 import random
 import time
 import pytest
@@ -89,7 +90,7 @@ def _check_bound(host, trees, adj, target):
     at most S times the distance (explicit BFS) everywhere, moved by at
     most S, and exactly by its incremental change, on every swap. Returns
     H of every tree and S."""
-    bound = _TwinBound(host, _twin_classes(host.adj), trees[target])
+    bound = _TwinBound(host.adj, _twin_classes(host.adj), trees[target].canonical_key())
     s = bound.size
     dist = bfs_distances(adj, target)
     ids = {t.canonical_key(): i for i, t in enumerate(trees)}
@@ -117,7 +118,7 @@ def test_bound_is_consistent_and_exact_on_images_over_the_blowup_range():
         t2 = rng.choice(src_trees)
         hs, s, n_tight = _check_bound(host, trees, adj, ids[blowup_tree(inst, t2).canonical_key()])
         if len(_twin_classes(src.adj)) == src.n:  # the twin classes are the copy sets
-            d_w = _uniform_cost(src, ws, t2)  # settles every source tree
+            d_w = _uniform_cost(src.adj, ws, t2.canonical_key())  # settles every source tree
             for t1 in src_trees:  # exact on blow-up images: H(T1) = S d_w(t1, t2)
                 image = ids[blowup_tree(inst, t1).canonical_key()]
                 assert hs[image] == s * d_w[t1.canonical_key()]
@@ -149,7 +150,7 @@ def test_bound_route_gives_the_bfs_answers(monkeypatch):
     rng = random.Random(3)
     for src, ws, inst in _blowup_range():
         host = inst.graph
-        if flipgraph._unit_bound(host, inst.t_ini, inst.t_tar, 10**6) is None:
+        if flipgraph._unit_bound(host.adj, inst.t_tar.canonical_key(), 10**6) is None:
             continue
         trees = enumerate_all(host)
         moved = _relabelled(host, rng)
@@ -205,7 +206,7 @@ def test_bound_budgets_the_tables_the_search_and_the_closing():
     # the path needs more than its distance, for the closing, but far less
     # than the BFS route, which needs 5,050 for both
     g, t1, t2, d = _reduce_pair(2)
-    bound = flipgraph._unit_bound(g, t1, t2, 10**6)
+    bound = flipgraph._unit_bound(g.adj, t2.canonical_key(), 10**6)
     assert bound.spent == 14  # the one table: every tree of the quotient P4
     assert _least_budget(distance, g, t1, t2) == 14 + 18
     assert _least_budget(shortest_path, g, t1, t2) == 306
@@ -259,6 +260,39 @@ def test_many_selections_fall_back_at_once(monkeypatch, tmp_path):
     start = time.monotonic()
     assert main(["--node-budget", "10", "dist", *files]) == 4
     assert time.monotonic() - start < 2.0
+
+
+def test_identical_trees_are_answered_before_the_tables():
+    # the N = 2 `reduce cut` graph of P4 takes the A* route, and its tables
+    # alone settle a quotient of 1,036,561 trees
+    inst = build_weighted_instance(path_graph(4), "1", "4", 2)
+    g, t = inst.graph, inst.t_ini
+    sizes = [len(members) for members in _twin_classes(g.adj)]
+    assert g.n == 25 and g.n - len(sizes) >= 3 and math.prod(sizes) == 64
+    start = time.monotonic()
+    assert distance(g, t, t, node_budget=1) == 0
+    assert shortest_path(g, t, t, node_budget=1).moves == ()
+    assert time.monotonic() - start < 1.0
+
+
+def test_queries_build_no_graph_or_tree_after_the_checks(monkeypatch):
+    # every search runs on adjacency masks and keys, the bound's quotient too
+    g, t1, t2, d = _reduce_pair(2)
+    built = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
+    monkeypatch.setattr(ElimTree, "__init__", counted("ElimTree", ElimTree.__init__))
+    monkeypatch.setattr(ElimTree, "_trusted",
+                        classmethod(counted("_trusted", ElimTree._trusted.__func__)))
+    assert distance(g, t1, t2) == d
+    assert len(shortest_path(g, t1, t2)) == d
+    assert built == []
 
 
 def _lemma_pairs(src, ws):
@@ -362,8 +396,9 @@ def _astar_pairs():
 @pytest.mark.parametrize("close", [False, True])
 def test_search_with_the_bound_equals_the_astar_loop(close):
     for g, t1, t2 in _astar_pairs():
-        bound = flipgraph._unit_bound(g, t1, t2, 10**7)
-        got = _uniform_cost(g, [1] * g.n, t1, t2, 10**7, bound.spent, bound, close=close)
+        k1, k2 = t1.canonical_key(), t2.canonical_key()
+        bound = flipgraph._unit_bound(g.adj, k2, 10**7)
+        got = _uniform_cost(g.adj, [1] * g.n, k1, k2, 10**7, bound.spent, bound, close=close)
         assert got == _oracle_astar(g, t1, t2, bound, 10**7, close=close)
 
 
@@ -375,5 +410,6 @@ def test_search_without_a_bound_equals_the_uniform_cost_loop():
             wi = [rng.randint(1, 5) for _ in range(n)]
             for _ in range(3):
                 t1, t2 = rng.choice(trees), rng.choice(trees)
-                assert _uniform_cost(g, wi, t1, t2) == _oracle_uniform_cost(g, wi, t1, t2)
-            assert _uniform_cost(g, wi, t1) == _oracle_uniform_cost(g, wi, t1)
+                got = _uniform_cost(g.adj, wi, t1.canonical_key(), t2.canonical_key())
+                assert got == _oracle_uniform_cost(g, wi, t1, t2)
+            assert _uniform_cost(g.adj, wi, t1.canonical_key()) == _oracle_uniform_cost(g, wi, t1)
